@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .codes import KnotoidCode
 from .errors import LimitExceeded
-from .laurent import ArrowMonomial, ArrowPoly, LaurentA, loop_value, writhe_normalize
-from .smoothing import CIRCLE, CompiledCode, DEFAULT_STATE_LIMIT, SEGMENT
+from .laurent import ArrowMonomial, ArrowPoly, state_sum, writhe_normalize
+from .smoothing import CIRCLE, CompiledCode, DEFAULT_STATE_LIMIT
 from .bracket import writhe
 
 
@@ -53,23 +53,12 @@ def arrow_polynomial(
     compiled = CompiledCode(code)
     if compiled.n > state_limit:
         raise LimitExceeded(f"{compiled.n} crossings exceed the state limit {state_limit}")
-    counts: dict[tuple[int, int, ArrowMonomial], int] = {}
-    for s, comps, seg_lengths, circ_lengths in compiled.scan(True):
-        monomial = ArrowMonomial.build(
-            (length // 2 for length in circ_lengths),
-            ((length + 1) // 2 for length in seg_lengths),
-        )
-        key = (s, comps, monomial)
-        counts[key] = counts.get(key, 0) + 1
-    d = loop_value()
-    max_comp = max((c for _, c, _ in counts), default=1)
-    powers = [LaurentA.one()]
-    for _ in range(max_comp):
-        powers.append(powers[-1] * d)
-    total = ArrowPoly.zero()
-    for (s, comps, monomial), count in counts.items():
-        total = total.add_term(monomial, powers[comps - 1].shift(s, count))
-    return total
+    by_monomial: dict[tuple[tuple, tuple], dict[tuple[int, int], int]] = {}
+    for (s, comps, ks, ls), count in compiled.contract(True).items():
+        by_monomial.setdefault((ks, ls), {})[(s, comps)] = count
+    return ArrowPoly(
+        {ArrowMonomial.build(ks, ls): state_sum(c) for (ks, ls), c in by_monomial.items()}
+    )
 
 
 def normalized_arrow(

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .codes import KnotoidCode, OPEN, OVER
 from .errors import LimitExceeded
-from .laurent import LaurentA, loop_value, writhe_normalize
+from .laurent import LaurentA, loop_value, state_sum, writhe_normalize
 from .smoothing import CompiledCode, DEFAULT_STATE_LIMIT
 
 
@@ -28,19 +28,8 @@ def bracket(code: KnotoidCode, state_limit: int = DEFAULT_STATE_LIMIT) -> Lauren
     compiled = CompiledCode(code)
     if compiled.n > state_limit:
         raise LimitExceeded(f"{compiled.n} crossings exceed the state limit {state_limit}")
-    counts: dict[tuple[int, int], int] = {}
-    for s, comps, _segs, _circs in compiled.scan(False):
-        key = (s, comps)
-        counts[key] = counts.get(key, 0) + 1
-    d = loop_value()
-    powers = [LaurentA.one()]
-    max_comp = max((c for _, c in counts), default=1)
-    for _ in range(max_comp):
-        powers.append(powers[-1] * d)
-    total = LaurentA.zero()
-    for (s, comps), count in counts.items():
-        total = total + powers[comps - 1].shift(s, count)
-    return total
+    counts = compiled.contract(False)
+    return state_sum({(s, comps): count for (s, comps, _, _), count in counts.items()})
 
 
 def normalized_bracket(

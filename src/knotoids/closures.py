@@ -24,7 +24,7 @@ def virtual_closure(code: KnotoidCode) -> KnotoidCode:
         ComponentCode(LOOP, c.passages) if c.kind == OPEN else c
         for c in code.components
     )
-    return KnotoidCode(comps, dict(code.meta))
+    return KnotoidCode(comps, code.meta)
 
 
 def carter_genus(code: KnotoidCode) -> int:

@@ -10,7 +10,9 @@ with a common sign.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import (
     CodeSyntaxError,
@@ -58,10 +60,17 @@ class ComponentCode:
 
 @dataclass(frozen=True)
 class KnotoidCode:
-    """A validated multi-component signed Gauss code plus free-form metadata."""
+    """A validated multi-component signed Gauss code plus free-form metadata.
+
+    ``meta`` is stored as a read-only mapping and left out of the hash, so
+    codes are hashable; equality still compares it.
+    """
 
     components: tuple[ComponentCode, ...]
-    meta: dict = field(default_factory=dict)
+    meta: Mapping[str, str] = field(default_factory=dict, hash=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
 
     def all_passages(self):
         """Yield (component_index, passage_index, passage) in traversal order."""
@@ -237,7 +246,7 @@ def reverse(code: KnotoidCode) -> KnotoidCode:
     comps = tuple(
         ComponentCode(c.kind, tuple(reversed(c.passages))) for c in code.components
     )
-    return KnotoidCode(comps, dict(code.meta))
+    return KnotoidCode(comps, code.meta)
 
 
 def flat_projection(code: KnotoidCode) -> FlatCode:

@@ -162,6 +162,18 @@ def loop_value() -> LaurentA:
     return LaurentA({2: -1, -2: -1})
 
 
+def state_sum(counts: dict[tuple[int, int], int]) -> LaurentA:
+    """Sum of ``count * A**sigma * d**(components - 1)`` over ``(sigma, components)``."""
+    powers = [LaurentA.one()]  # d**j
+    out: dict[int, int] = {}
+    for (sigma, comps), count in counts.items():
+        while len(powers) < comps:
+            powers.append(powers[-1] * loop_value())
+        for e, c in powers[comps - 1].terms.items():
+            out[sigma + e] = out.get(sigma + e, 0) + count * c
+    return LaurentA(out)
+
+
 def writhe_normalize(value, w: int):
     """Multiply a LaurentA or ArrowPoly by ``(-A^3)**(-w)``, exactly."""
     factor = LaurentA({-3 * w: -1 if w % 2 else 1})
@@ -339,18 +351,3 @@ class ArrowPoly:
     def __repr__(self):
         return f"ArrowPoly({self.render()})"
 
-
-def max_degree(p: Laurent) -> int:
-    return p.max_degree()
-
-
-def is_symmetric(p: Laurent) -> bool:
-    return p.is_symmetric()
-
-
-def k_degree(p: ArrowPoly) -> int:
-    return p.k_degree()
-
-
-def lambda_degree(p: ArrowPoly) -> int:
-    return p.lambda_degree()

@@ -84,7 +84,7 @@ def _delete_positions(passages: tuple, positions) -> tuple:
 def _with_component(code: KnotoidCode, ci: int, passages: tuple) -> KnotoidCode:
     comps = list(code.components)
     comps[ci] = ComponentCode(comps[ci].kind, passages)
-    return KnotoidCode(tuple(comps), dict(code.meta))
+    return KnotoidCode(tuple(comps), code.meta)
 
 
 def applicable_moves(code: KnotoidCode, include_inserts: bool = True) -> list[MoveSpec]:

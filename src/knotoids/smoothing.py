@@ -10,11 +10,21 @@ side of the traversal its acute wedge lies.
 Ends of passage ``p`` are numbered ``in = 2p`` and ``out = 2p + 1``; stub
 terminals of open component ``c`` are the negative sentinels ``-(2c+1)``
 (tail) and ``-(2c+2)`` (head).
+
+``CompiledCode.contract`` is the state-sum engine of the bracket and the
+arrow polynomial: it smooths one crossing at a time and merges partial
+states that pair their open arc ends (and, for the arrow, their reduced
+cusp words) alike, so its cost follows the number of distinct pairings
+rather than 2^n.  ``CompiledCode.scan``, which walks all 2^n states in
+Gray-code order, and ``resolve``/``enumerate_states`` remain as independent
+references for the tests.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 from .codes import KnotoidCode, OPEN, OVER, label_order, occurrences
 from .errors import IncompleteChoice, LimitExceeded
@@ -223,6 +233,199 @@ class CompiledCode:
                         circles.append(len(stack))
             yield sigma, comps, segments, circles
 
+    def arc_end(self, e: int) -> int:
+        """The end (or stub) at the far side of the arc leaving end ``e``."""
+        return self.succ[e] if e & 1 else self.pred[e]
+
+    def crossing_of(self, e: int) -> int:
+        """Crossing index of a passage end, -1 for a stub."""
+        return self.pass_crossing[e >> 1] if e >= 0 else -1
+
+    def contraction_order(self) -> list[int]:
+        """Crossings in greedy order: each adds the fewest new boundary ends.
+
+        Smoothing crossing ``k`` retires those of its ends whose arcs lead
+        into the smoothed region and makes the far ends of its other arcs
+        (to unsmoothed crossings or stubs) new boundary ends; arcs between
+        two ends of ``k`` itself change nothing.  The greedy pass is run
+        from every first crossing, and the order with the narrowest widest
+        boundary (then the least total 2**width) is kept.  Ties go to the
+        lowest crossing index, so the order is deterministic.
+        """
+        n = self.n
+        links: list[list[int]] = [[] for _ in range(n)]  # arcs to other crossings
+        start_delta = [0] * n  # boundary change of smoothing k first
+        for k in range(n):
+            a, b = self.cross_over[k], self.cross_under[k]
+            for e in (2 * a, 2 * a + 1, 2 * b, 2 * b + 1):
+                far = self.crossing_of(self.arc_end(e))
+                if far != k:
+                    start_delta[k] += 1
+                    if far >= 0:
+                        links[k].append(far)
+        best: tuple[tuple[int, int], list[int]] | None = None
+        for first in range(n):
+            delta = start_delta[:]
+            todo = list(range(n))
+            order, width, peak, cost = [], 0, 0, 0
+            k = first
+            while True:
+                todo.remove(k)
+                order.append(k)
+                width += delta[k]
+                peak = max(peak, width)
+                cost += 1 << width
+                for f in links[k]:
+                    delta[f] -= 2  # that arc now leads into the smoothed region
+                if not todo:
+                    break
+                k = min(todo, key=delta.__getitem__)
+            if best is None or (peak, cost) < best[0]:
+                best = ((peak, cost), order)
+        return best[1] if best else []
+
+    def contract(self, want_words: bool) -> dict[tuple[int, int, tuple, tuple], int]:
+        """State counts keyed by (sigma, components, K indices, L indices).
+
+        Crossings are smoothed one at a time in ``contraction_order``.  A
+        partial state is the pairing of its boundary ends -- unsmoothed
+        ends and stubs whose arcs run into the smoothed region -- by
+        pending arcs, each with its reduced cusp word, plus its sigma,
+        closed circles and K/L indices so far.  Partial states that agree
+        on all of these are merged into one count.  A pending arc joining
+        two stubs is a finished segment: both stubs then pair with
+        themselves.  The index tuples are sorted, list each circle ``K_i``
+        and segment ``L_i`` that keeps cusps, and stay empty when
+        ``want_words`` is false.  Counts equal those of ``scan``
+        aggregated the same way.
+        """
+        n = self.n
+        # The frontier maps a packed pairing -- each boundary end's
+        # (partner, word), as signed bytes while every end fits, else as
+        # 8-byte ints -- to counts by inner key, which packs (monomial id,
+        # closed circles, sigma + n) into one int.  The frontier is the
+        # engine's peak memory and arrow states rarely merge, so keys are
+        # bytes rather than tuples (the interpreter keeps thousands of
+        # freed tuples for reuse), and counts reached from one predecessor
+        # stay a flat [key, count, ...] list, far smaller than a dict.
+        stride = 2 * n + 1  # sigma + n runs over 0..2n
+        span = stride * (2 * n + 1)  # and closed circles over 0..2n
+        stubs = 2 * max(self.open_comps, default=-1) + 2
+        typecode = "b" if max(2 * self.P, stubs) < 128 else "q"
+        monomials: list[tuple[tuple, tuple]] = [((), ())]
+        monomial_ids = {((), ()): 0}
+        grown: dict[tuple[int, tuple, tuple], int] = {}
+
+        def grow(mono: int, ks: tuple, ls: tuple) -> int:
+            step = (mono, ks, ls)
+            if step not in grown:
+                old_ks, old_ls = monomials[mono]
+                full = (tuple(sorted(old_ks + ks)), tuple(sorted(old_ls + ls)))
+                if full not in monomial_ids:
+                    monomial_ids[full] = len(monomials)
+                    monomials.append(full)
+                grown[step] = monomial_ids[full]
+            return grown[step]
+
+        sigma_tab = self.sigma_table()
+        cusp = [1 if s == "R" else -1 for s in self.side_char]
+        done = [False] * n
+        boundary: list[int] = []
+        frontier: dict[bytes, list[int] | dict[int, int]] = {b"": [n, 1]}
+        for k in self.contraction_order():
+            a, b = self.cross_over[k], self.cross_under[k]
+            ia, oa, ib, ob = 2 * a, 2 * a + 1, 2 * b, 2 * b + 1
+            ends = (ia, oa, ib, ob)
+            fresh = {}  # arcs of k that do not yet lead into the smoothed region
+            for e in ends:
+                far = self.arc_end(e)
+                if far < 0 or not done[self.crossing_of(far)]:
+                    fresh[e] = (far, 0)
+                    fresh[far] = (e, 0)
+            done[k] = True
+            new_boundary = sorted(
+                {e for e in boundary if e not in ends} | {e for e in fresh if e not in ends}
+            )
+            # A disoriented site puts one cusp on each of its two joins,
+            # read on the side of passage a when entering through ia or oa.
+            c = cusp[a] if want_words else 0
+            choices = (
+                (sigma_tab[k][0], ((ia, ob, 0), (ib, oa, 0))),
+                (sigma_tab[k][1], ((ia, ib, c), (oa, ob, c))),
+            )
+            merged: dict[bytes, list[int] | dict[int, int]] = {}
+            while frontier:
+                key, inner = frontier.popitem()
+                pairs = _items(inner)
+                arcs = array(typecode, key)
+                base = dict(zip(boundary, zip(arcs[::2], arcs[1::2])))
+                base.update(fresh)
+                for sigma, joins in choices:
+                    new_key, circles, ks, ls = self._smooth(base, joins, new_boundary, typecode)
+                    shift = sigma + circles * stride
+                    if ks or ls:
+                        moved = [
+                            (grow(ikey // span, ks, ls) * span + ikey % span + shift, count)
+                            for ikey, count in pairs
+                        ]
+                    else:
+                        moved = [(ikey + shift, count) for ikey, count in pairs]
+                    known = merged.get(new_key)
+                    if known is None:
+                        merged[new_key] = list(chain.from_iterable(moved))
+                        continue
+                    if type(known) is list:
+                        known = merged[new_key] = dict(zip(known[::2], known[1::2]))
+                    for ikey, count in moved:
+                        known[ikey] = known.get(ikey, 0) + count
+            frontier = merged
+            boundary = new_boundary
+        fixed = self.free_circles + len(self.open_comps)
+        counts: dict[tuple[int, int, tuple, tuple], int] = {}
+        for inner in frontier.values():
+            for ikey, count in _items(inner):
+                mono, rest = divmod(ikey, span)
+                circles, sigma = divmod(rest, stride)
+                counts[(sigma - n, fixed + circles, *monomials[mono])] = count
+        return counts
+
+    @staticmethod
+    def _smooth(match: dict, joins, boundary: list[int], typecode: str):
+        """Apply one smoothing's two joins to a pairing of boundary ends.
+
+        ``match`` maps each end to (partner, cusp word read from the end
+        to its partner).
+        Returns the new packed pairing, the circles closed, and the K and
+        L indices of the circles and segments finished with cusps.
+        """
+        match = dict(match)
+        circles = 0
+        ks: list[int] = []
+        ls: list[int] = []
+        for x, y, c in joins:
+            px, wx = match.pop(x)
+            py, wy = match.pop(y)
+            if px == y:
+                # Every cusp reverses the strand, so a circle keeps an even
+                # number: its word alternates with unequal ends and is
+                # already cyclically reduced.
+                circles += 1
+                m = abs(_concat(c, wy))
+                if m:
+                    ks.append(m // 2)
+                continue
+            w = _concat(_concat(_reverse(wx), c), wy) if wx or c or wy else 0
+            if px < 0 and py < 0:
+                match[px] = (px, 0)
+                match[py] = (py, 0)
+                if w:
+                    ls.append((abs(w) + 1) // 2)
+            else:
+                match[px] = (py, w)
+                match[py] = (px, _reverse(w))
+        packed = array(typecode, chain.from_iterable(map(match.get, boundary)))
+        return packed.tobytes(), circles, tuple(ks), tuple(ls)
+
     def sigma_table(self) -> list[tuple[int, int]]:
         """Per crossing (oriented, disoriented) contributions to #A - #B."""
         table = []
@@ -380,3 +583,33 @@ def enumerate_states(code: KnotoidCode, state_limit: int = DEFAULT_STATE_LIMIT):
         comps.extend(StateComponent(CIRCLE, tuple(Cusp(s) for s in w)) for w in circles)
         comps.extend(StateComponent(CIRCLE, ()) for _ in range(extra))
         yield choice, StateResolution(tuple(comps))
+
+
+def _items(inner):
+    """The (inner key, count) pairs of a frontier value: a dict or a flat list."""
+    return inner.items() if type(inner) is dict else list(zip(inner[::2], inner[1::2]))
+
+
+# Reduced cusp words alternate L and R, so an int stands for one: its
+# length, negated when the word starts with L; 0 is the empty word.
+
+
+def _reverse(w: int) -> int:
+    """Read backwards (each side flips): the first side flips iff the length is odd."""
+    return -w if w & 1 else w
+
+
+def _concat(w1: int, w2: int) -> int:
+    """Reduced product: equal touching sides cancel pairwise, min(m1, m2) times."""
+    if not w1 or not w2:
+        return w1 or w2
+    m1, m2 = abs(w1), abs(w2)
+    last1 = w1 if m1 & 1 else -w1  # sign of w1's last letter
+    if (last1 > 0) != (w2 > 0):
+        return m1 + m2 if w1 > 0 else -(m1 + m2)
+    if m1 > m2:
+        return m1 - m2 if w1 > 0 else m2 - m1
+    if m2 > m1:
+        first = w2 if m1 % 2 == 0 else -w2  # sign of w2's first surviving letter
+        return m2 - m1 if first > 0 else m1 - m2
+    return 0

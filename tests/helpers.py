@@ -42,6 +42,24 @@ def random_code(rng: random.Random, n: int, loops: int = 0) -> KnotoidCode:
     return code
 
 
+def random_multi_code(rng: random.Random, n: int, empty: bool = False) -> KnotoidCode:
+    """A random valid code with n crossings cut into up to four components,
+    each open or loop at random; ``empty`` adds a crossing-free one."""
+    passages = random_code(rng, n).components[0].passages
+    pieces = min(rng.randint(0, 3), max(len(passages) - 1, 0))
+    cuts = sorted(rng.sample(range(1, len(passages)), pieces))
+    bounds = [0] + cuts + [len(passages)]
+    comps = [
+        ComponentCode(rng.choice(("open", "loop")), passages[i:j])
+        for i, j in zip(bounds, bounds[1:])
+    ]
+    if empty:
+        comps.insert(rng.randint(0, len(comps)), ComponentCode(rng.choice(("open", "loop")), ()))
+    code = KnotoidCode(tuple(comps))
+    validate(code)
+    return code
+
+
 def invariant_suite(code):
     """The move-invariant bundle: odd writhe, f_K, arrow, affine, parity."""
     return (

@@ -71,9 +71,7 @@ def test_height_bounds_spirals():
 
 
 def test_height_bounds_fig1g():
-    code = parse(FIG1G)
-    code.meta["declared_height"] = "2"
-    code.meta["declared_classical"] = "true"
+    code = parse(f"meta declared_height=2\nmeta declared_classical=true\n{FIG1G}")
     bound = height_bounds(code)
     assert bound.affine_bound == 2 and bound.lambda_bound == 2
     assert bound.lower == 2 == bound.declared_upper
@@ -81,8 +79,7 @@ def test_height_bounds_fig1g():
 
 
 def test_height_bounds_fig1f_interval():
-    code = parse("open: O1+ O2+ U3+ U1+ O3+ U2+ U4+ O5+ O4+ U5+")
-    code.meta["declared_height"] = "1..2"
+    code = parse("meta declared_height=1..2\nopen: O1+ O2+ U3+ U1+ O3+ U2+ U4+ O5+ O4+ U5+")
     bound = height_bounds(code)
     assert bound.lower == 1
     assert bound.declared_upper == 2

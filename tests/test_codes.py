@@ -87,6 +87,15 @@ def test_meta_roundtrip():
     assert parse(serialize(code)) == code
 
 
+def test_code_is_hashable_and_meta_read_only():
+    code = parse("meta source=text\nopen: O1+ U1+")
+    assert hash(code) == hash(parse("open: O1+ U1+"))
+    assert len({code, parse("meta source=text\nopen: O1+ U1+")}) == 1
+    with pytest.raises(TypeError):
+        code.meta["source"] = "figure"
+    assert code.meta["source"] == "text"
+
+
 def test_reverse_definition():
     assert serialize(reverse(parse("open: O1+ U2+ U1+ O2+"))).strip() == "open: O2+ U1+ U2+ O1+"
 

@@ -23,7 +23,6 @@ from . import (
     evenly_intersticed,
     flat_projection,
     height_bounds,
-    normalized_arrow,
     normalized_bracket,
     odd_writhe,
     parse,
@@ -31,11 +30,13 @@ from . import (
     serialize,
     virtual_closure,
     weight_chart,
+    writhe,
+    writhe_normalize,
 )
 from .codes import KnotoidCode
 from .catalog import catalog_entry, load_catalog, verify_entry
 from .errors import KnotoidError, ShapeError
-from .parity_bracket import flat_parity_bracket, normalized_parity_bracket, parity_bracket
+from .parity_bracket import flat_parity_bracket, normalize_parity, parity_bracket
 from .smoothing import DEFAULT_STATE_LIMIT
 
 
@@ -146,7 +147,7 @@ def _run(args) -> int:
         poly = arrow_polynomial(code, limit)
         report |= {
             "arrow": poly.render(),
-            "normalized_arrow": normalized_arrow(code, limit).render(),
+            "normalized_arrow": writhe_normalize(poly, writhe(code)).render(),
             "k_degree": poly.k_degree(),
             "lambda_degree": poly.lambda_degree(),
         }
@@ -164,10 +165,9 @@ def _run(args) -> int:
         }
     elif args.command == "parity-bracket":
         value = parity_bracket(code, limit)
-        normalized = normalized_parity_bracket(code, limit)
         report |= {
             "parity_bracket": value.render(),
-            "normalized": normalized.render(),
+            "normalized": normalize_parity(value, writhe(code)).render(),
             "graphical_count": len(value.graphical),
         }
         if args.format == "json":
@@ -201,11 +201,11 @@ def _run(args) -> int:
             "bracket": rep.raw.render(),
             "normalized_bracket": rep.normalized.render(),
             "arrow": arrow.render(),
-            "normalized_arrow": normalized_arrow(code, limit).render(),
+            "normalized_arrow": writhe_normalize(arrow, rep.writhe).render(),
             "k_degree": arrow.k_degree(),
             "lambda_degree": arrow.lambda_degree(),
             "parity_bracket": parity.render(),
-            "normalized_parity_bracket": normalized_parity_bracket(code, limit).render(),
+            "normalized_parity_bracket": normalize_parity(parity, rep.writhe).render(),
             "flat_parity_trivial": flat_parity_bracket(flat_projection(code), limit).is_trivial(),
         }
         try:

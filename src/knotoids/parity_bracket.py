@@ -8,6 +8,14 @@ form.  A state contributes A^(n(S)) d^(components-1), counting surviving
 graphs, plain circles and the long segment alike, so that all-even inputs
 reproduce the ordinary bracket exactly.
 
+The state sum is a projection of ``CompiledCode.frontier``: only the even
+crossings are smoothed, so the four ports of every node stay boundary
+ends, and each distinct final pairing of node ports and stubs is exactly
+one graph state.  It is built, reduced and given its canonical form once,
+and weighted by the counts of all the states that share it.
+``parity_states`` builds the 2^e states one by one and remains as an
+independent reference for the tests.
+
 Scope of move invariance: on single-component diagrams every triangle-move
 configuration carries an even number of nodes and the normalized value is
 a full invariant.  The multi-component extension (link crossings as nodes)
@@ -20,7 +28,9 @@ those particular slides.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .codes import (
     EVEN,
@@ -31,9 +41,8 @@ from .codes import (
     classify_crossings,
 )
 from .errors import LimitExceeded
-from .laurent import LaurentA, loop_value, writhe_normalize
+from .laurent import LaurentA, state_sum, writhe_normalize
 from .smoothing import CompiledCode, DEFAULT_STATE_LIMIT
-from .bracket import writhe
 
 
 @dataclass
@@ -60,8 +69,19 @@ class GraphState:
 
 @dataclass(frozen=True)
 class ParityBracketValue:
+    """Plain part and graphical coefficients, keyed by canonical graph.
+
+    ``graphical`` is stored as a read-only mapping, so values are hashable.
+    """
+
     plain: LaurentA
-    graphical: dict[str, LaurentA]
+    graphical: Mapping[str, LaurentA]
+
+    def __post_init__(self):
+        object.__setattr__(self, "graphical", MappingProxyType(dict(self.graphical)))
+
+    def __hash__(self):
+        return hash((self.plain, tuple(sorted(self.graphical.items()))))
 
     def is_plain(self) -> bool:
         return not self.graphical
@@ -90,8 +110,16 @@ class ParityBracketValue:
 
 @dataclass(frozen=True)
 class FlatParityValue:
+    """The A = -1 evaluation; ``graphical`` is read-only, as above."""
+
     plain: int
-    graphical: dict[str, int]
+    graphical: Mapping[str, int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "graphical", MappingProxyType(dict(self.graphical)))
+
+    def __hash__(self):
+        return hash((self.plain, tuple(sorted(self.graphical.items()))))
 
     def is_trivial(self) -> bool:
         return not self.graphical
@@ -112,7 +140,11 @@ def _node_rotation(compiled: CompiledCode, k: int) -> tuple[int, int, int, int]:
 
 
 def _build_state(compiled, node_set, even_list, mask) -> GraphState:
-    """Glue the even crossings of one mask and extract the edge structure."""
+    """Glue the even crossings of one mask and extract the edge structure.
+
+    Only ``parity_states``, the tests' per-state reference, builds states
+    this way.
+    """
     glue = [0] * (2 * compiled.P)
     sigma = 0
     for bit, k in enumerate(even_list):
@@ -296,7 +328,8 @@ def canonical_graph(state: GraphState) -> list[str]:
     slot, so the encoding is invariant under relabeling and rotation of
     loop starts.  The lexicographic minimum over admissible starting
     terminals (stubs when present, otherwise every directed port) makes it
-    deterministic.
+    deterministic.  A trace is abandoned as soon as its prefix exceeds the
+    best trace so far, which leaves the minimum unchanged.
     """
     port_lookup = state.port_node()
     if not state.rotations:
@@ -339,21 +372,42 @@ def canonical_graph(state: GraphState) -> list[str]:
             starts = [port for k in members for port in state.rotations[k]]
         best = None
         for start in starts:
-            trace = _trace_component(state, port_lookup, member_set, start)
-            if best is None or trace < best:
-                best = trace
+            try:
+                best = _trace_component(state, port_lookup, member_set, start, best)
+            except _Exceeds:
+                pass
         encodings.append(best)
     return sorted(encodings)
 
 
-def _trace_component(state, port_lookup, member_set, start) -> str:
+class _Exceeds(Exception):
+    """A trace's prefix is already greater than the best trace."""
+
+
+def _trace_component(state, port_lookup, member_set, start, best=None) -> str:
+    """The trace of one component from ``start``, as comma-joined tokens.
+
+    With ``best`` given, raises ``_Exceeds`` once the prefix traced so far
+    is greater than ``best``; a trace that completes is at most ``best``.
+    """
     rotations = state.rotations
     partner = state.partner
     node_id: dict[int, int] = {}
     ref_slot: dict[int, int] = {}
     used_entries: set[int] = set()
-    tokens: list[str] = []
+    pieces: list[str] = []
     pending: list[int] = []  # candidate ports for later strand starts
+    matched = 0 if best is not None else -1  # chars equal to best; -1 once below it
+
+    def emit(token: str) -> None:
+        nonlocal matched
+        piece = "," + token if pieces else token
+        pieces.append(piece)
+        if matched >= 0:
+            ref = best[matched:matched + len(piece)]
+            if piece > ref:
+                raise _Exceeds
+            matched = matched + len(piece) if piece == ref else -1
 
     def enter(port) -> int | None:
         """Record a visit entering at ``port``; return the exit port."""
@@ -364,32 +418,32 @@ def _trace_component(state, port_lookup, member_set, start) -> str:
             for extra in range(4):
                 pending.append(rotations[node][(slot + extra) % 4])
         offset = (slot - ref_slot[node]) % 4
-        tokens.append(f"{node_id[node]}.{offset}")
+        emit(f"{node_id[node]}.{offset}")
         used_entries.add(port)
         return rotations[node][(slot + 2) % 4]
 
     def run_strand(first_terminal) -> None:
         # first_terminal: a port we exit through, or a stub we start from.
         if first_terminal < 0:
-            tokens.append("T")
+            emit("T")
             q = partner[first_terminal]
             while q >= 0:
                 exit_port = enter(q)
                 used_entries.add(exit_port)
                 q = partner[exit_port]
-            tokens.append("E")
+            emit("E")
             return
-        tokens.append("S")
+        emit("S")
         start_port = first_terminal
         used_entries.add(start_port)
         q = partner[start_port]
         while True:
             if q < 0:
-                tokens.append("E")
+                emit("E")
                 return
             exit_port = enter(q)
             if exit_port == start_port:
-                tokens.append("C")
+                emit("C")
                 return
             used_entries.add(exit_port)
             q = partner[exit_port]
@@ -404,13 +458,17 @@ def _trace_component(state, port_lookup, member_set, start) -> str:
         if nxt is None:
             break
         run_strand(nxt)
-    return ",".join(tokens)
+    return "".join(pieces)
 
 
 def parity_states(
     code: KnotoidCode, state_limit: int = DEFAULT_STATE_LIMIT
 ):
-    """Yield one reduced GraphState per smoothing of the even crossings."""
+    """Yield one GraphState per smoothing of the even crossings.
+
+    The per-state reference for the contracted ``parity_bracket``; no
+    production path builds states one by one.
+    """
     compiled = CompiledCode(code)
     infos = classify_crossings(code)
     even_list = [compiled.index_of[i.label] for i in infos if i.parity == EVEN]
@@ -460,38 +518,60 @@ def _close_stub_paths(state: GraphState) -> None:
         partner[last_port] = first_port
 
 
-def _accumulate(code: KnotoidCode, state_limit: int, closed: bool) -> ParityBracketValue:
-    plain = LaurentA.zero()
-    graphical: dict[str, LaurentA] = {}
-    d = loop_value()
-    power_cache = [LaurentA.one()]
+def _accumulate(
+    compiled: CompiledCode, code: KnotoidCode, state_limit: int, closed: bool
+) -> ParityBracketValue:
+    infos = classify_crossings(code)
+    even = [compiled.index_of[i.label] for i in infos if i.parity == EVEN]
+    if len(even) > state_limit:
+        raise LimitExceeded(
+            f"{len(even)} even crossings exceed the state limit {state_limit}"
+        )
+    nodes = sorted(compiled.index_of[i.label] for i in infos if i.parity != EVEN)
+    rotations = {k: _node_rotation(compiled, k) for k in nodes}
+    # Arcs that meet no even crossing join the same ends in every state:
+    # node port to node port or stub, and the stubs of an empty leg.
+    direct: dict[int, int] = {}
+    for rot in rotations.values():
+        for port in rot:
+            far = compiled.arc_end(port)
+            if far < 0 or compiled.crossing_of(far) in rotations:
+                direct[port] = far
+                direct[far] = port
+    for ci in compiled.open_comps:
+        if compiled.first_target[ci] < 0:
+            direct[-(2 * ci + 1)] = -(2 * ci + 2)
+            direct[-(2 * ci + 2)] = -(2 * ci + 1)
 
-    def d_power(k: int) -> LaurentA:
-        while len(power_cache) <= k:
-            power_cache.append(power_cache[-1] * d)
-        return power_cache[k]
-
-    for state in parity_states(code, state_limit):
+    by_key: dict[str, dict[tuple[int, int], int]] = {}
+    for pairing, counts in compiled.frontier(False, even):
+        partner = dict(direct)
+        finished = []  # stubs of node-free segments, each paired with itself
+        for end, (other, _word) in pairing.items():
+            if end == other:
+                finished.append(end)
+            else:
+                partner[end] = other
+        for s, t in zip(finished[::2], finished[1::2]):
+            partner[s] = t
+            partner[t] = s
+        state = GraphState(dict(rotations), partner, compiled.free_circles, 0)
         state = reduce_graph(state)
         if closed:
             _close_stub_paths(state)
             state = reduce_graph(state)
         encodings = canonical_graph(state)
-        port_lookup = state.port_node()
-        segments = 0
-        for a, b in state.partner.items():
-            if a < 0 and b < 0 and a < b:
-                segments += 1
-        node_groups = len(encodings)
-        comps = state.circles + segments + node_groups
-        weight = d_power(comps - 1).shift(state.sigma)
-        if encodings:
-            key = " | ".join(encodings)
-            graphical[key] = graphical.get(key, LaurentA.zero()) + weight
-        else:
-            plain = plain + weight
-    graphical = {k: v for k, v in graphical.items() if not v.is_zero()}
-    return ParityBracketValue(plain=plain, graphical=graphical)
+        segments = sum(1 for a, b in state.partner.items() if a < 0 and b < 0 and a < b)
+        comps = state.circles + segments + len(encodings)
+        sums = by_key.setdefault(" | ".join(encodings), {})
+        for (sigma, circles, _, _), count in counts.items():
+            key = (sigma, comps + circles)
+            sums[key] = sums.get(key, 0) + count
+    plain = state_sum(by_key.pop("", {}))
+    graphical = {key: state_sum(sums) for key, sums in by_key.items()}
+    return ParityBracketValue(
+        plain=plain, graphical={k: v for k, v in graphical.items() if not v.is_zero()}
+    )
 
 
 def parity_bracket(
@@ -505,15 +585,20 @@ def parity_bracket(
     code exactly.  A knotoid keeps strictly more information in the open
     form, so ``closed=False`` is the default.
     """
-    return _accumulate(code, state_limit, closed)
+    return _accumulate(CompiledCode(code), code, state_limit, closed)
 
 
 def normalized_parity_bracket(
     code: KnotoidCode, state_limit: int = DEFAULT_STATE_LIMIT
 ) -> ParityBracketValue:
     """(-A^3)^(-writhe) times the parity bracket; a move invariant."""
-    raw = parity_bracket(code, state_limit)
-    w = writhe(code)
+    compiled = CompiledCode(code)
+    raw = _accumulate(compiled, code, state_limit, False)
+    return normalize_parity(raw, sum(compiled.cross_sign))
+
+
+def normalize_parity(raw: ParityBracketValue, w: int) -> ParityBracketValue:
+    """(-A^3)^(-w) times a raw parity bracket of writhe ``w``."""
     return ParityBracketValue(
         plain=writhe_normalize(raw.plain, w),
         graphical={k: writhe_normalize(v, w) for k, v in raw.graphical.items()},

@@ -11,13 +11,16 @@ Ends of passage ``p`` are numbered ``in = 2p`` and ``out = 2p + 1``; stub
 terminals of open component ``c`` are the negative sentinels ``-(2c+1)``
 (tail) and ``-(2c+2)`` (head).
 
-``CompiledCode.contract`` is the state-sum engine of the bracket and the
-arrow polynomial: it smooths one crossing at a time and merges partial
-states that pair their open arc ends (and, for the arrow, their reduced
-cusp words) alike, so its cost follows the number of distinct pairings
-rather than 2^n.  ``CompiledCode.scan``, which walks all 2^n states in
-Gray-code order, and ``resolve``/``enumerate_states`` remain as independent
-references for the tests.
+``CompiledCode.frontier`` is the one state-sum engine: it smooths a set of
+crossings one at a time and merges partial states that pair their open arc
+ends (and, for the arrow, their reduced cusp words) alike, so its cost
+follows the number of distinct pairings rather than 2^n.  The bracket and
+the arrow polynomial smooth every crossing and read the aggregated counts
+through ``contract``; the parity bracket smooths only the even crossings,
+so the ports of the other crossings stay boundary ends to the end, and it
+reads one graph state per final pairing.  ``CompiledCode.scan``, which
+walks all 2^n states in Gray-code order, and ``resolve``/``enumerate_states``
+remain as independent references for the tests.
 """
 
 from __future__ import annotations
@@ -241,32 +244,35 @@ class CompiledCode:
         """Crossing index of a passage end, -1 for a stub."""
         return self.pass_crossing[e >> 1] if e >= 0 else -1
 
-    def contraction_order(self) -> list[int]:
-        """Crossings in greedy order: each adds the fewest new boundary ends.
+    def contraction_order(self, smooth=None) -> list[int]:
+        """The crossings of ``smooth`` (default: all) in greedy order.
 
-        Smoothing crossing ``k`` retires those of its ends whose arcs lead
-        into the smoothed region and makes the far ends of its other arcs
-        (to unsmoothed crossings or stubs) new boundary ends; arcs between
-        two ends of ``k`` itself change nothing.  The greedy pass is run
-        from every first crossing, and the order with the narrowest widest
-        boundary (then the least total 2**width) is kept.  Ties go to the
-        lowest crossing index, so the order is deterministic.
+        Each step takes the crossing that adds the fewest new boundary
+        ends.  Smoothing crossing ``k`` retires those of its ends whose
+        arcs lead into the smoothed region and makes the far ends of its
+        other arcs (to unsmoothed crossings or stubs) new boundary ends;
+        arcs between two ends of ``k`` itself change nothing, and ends of
+        crossings outside ``smooth`` are never retired.  The greedy pass is
+        run from every first crossing, and the order with the narrowest
+        widest boundary (then the least total 2**width) is kept.  Ties go
+        to the lowest crossing index, so the order is deterministic.
         """
         n = self.n
-        links: list[list[int]] = [[] for _ in range(n)]  # arcs to other crossings
+        crossings = list(range(n)) if smooth is None else sorted(smooth)
+        links: list[list[int]] = [[] for _ in range(n)]  # arcs to other smoothed crossings
         start_delta = [0] * n  # boundary change of smoothing k first
-        for k in range(n):
+        for k in crossings:
             a, b = self.cross_over[k], self.cross_under[k]
             for e in (2 * a, 2 * a + 1, 2 * b, 2 * b + 1):
                 far = self.crossing_of(self.arc_end(e))
                 if far != k:
                     start_delta[k] += 1
-                    if far >= 0:
+                    if far in crossings:
                         links[k].append(far)
         best: tuple[tuple[int, int], list[int]] | None = None
-        for first in range(n):
+        for first in crossings:
             delta = start_delta[:]
-            todo = list(range(n))
+            todo = crossings[:]
             order, width, peak, cost = [], 0, 0, 0
             k = first
             while True:
@@ -287,6 +293,18 @@ class CompiledCode:
     def contract(self, want_words: bool) -> dict[tuple[int, int, tuple, tuple], int]:
         """State counts keyed by (sigma, components, K indices, L indices).
 
+        Every crossing is smoothed, so the final ``frontier`` holds a
+        single pairing (each stub paired with itself); the free circles
+        and one segment per open component join its closed circles as
+        components.  Counts equal those of ``scan`` aggregated the same
+        way.
+        """
+        [(_, counts)] = self.frontier(want_words, fixed=self.free_circles + len(self.open_comps))
+        return counts
+
+    def frontier(self, want_words: bool, smooth=None, fixed: int = 0):
+        """The final frontier of smoothing ``smooth`` (default: all crossings).
+
         Crossings are smoothed one at a time in ``contraction_order``.  A
         partial state is the pairing of its boundary ends -- unsmoothed
         ends and stubs whose arcs run into the smoothed region -- by
@@ -294,10 +312,16 @@ class CompiledCode:
         closed circles and K/L indices so far.  Partial states that agree
         on all of these are merged into one count.  A pending arc joining
         two stubs is a finished segment: both stubs then pair with
-        themselves.  The index tuples are sorted, list each circle ``K_i``
-        and segment ``L_i`` that keeps cusps, and stay empty when
-        ``want_words`` is false.  Counts equal those of ``scan``
-        aggregated the same way.
+        themselves.  The ends of crossings outside ``smooth`` are never
+        retired, so they stay on the boundary to the end.
+
+        Yields, per final pairing -- a dict from each boundary end to
+        (partner, word) -- the counts keyed by (sigma, ``fixed`` + closed
+        circles, K indices, L indices).  The index tuples are sorted, list
+        each circle ``K_i`` and segment ``L_i`` finished with cusps, and
+        stay empty when ``want_words`` is false; words are then 0.
+        Pairings are decoded one at a time, so their counts never sit in
+        memory all at once.
         """
         n = self.n
         # The frontier maps a packed pairing -- each boundary end's
@@ -332,7 +356,7 @@ class CompiledCode:
         done = [False] * n
         boundary: list[int] = []
         frontier: dict[bytes, list[int] | dict[int, int]] = {b"": [n, 1]}
-        for k in self.contraction_order():
+        for k in self.contraction_order(smooth):
             a, b = self.cross_over[k], self.cross_under[k]
             ia, oa, ib, ob = 2 * a, 2 * a + 1, 2 * b, 2 * b + 1
             ends = (ia, oa, ib, ob)
@@ -380,14 +404,14 @@ class CompiledCode:
                         known[ikey] = known.get(ikey, 0) + count
             frontier = merged
             boundary = new_boundary
-        fixed = self.free_circles + len(self.open_comps)
-        counts: dict[tuple[int, int, tuple, tuple], int] = {}
-        for inner in frontier.values():
+        for key, inner in frontier.items():
+            counts = {}
             for ikey, count in _items(inner):
                 mono, rest = divmod(ikey, span)
                 circles, sigma = divmod(rest, stride)
                 counts[(sigma - n, fixed + circles, *monomials[mono])] = count
-        return counts
+            arcs = array(typecode, key)
+            yield dict(zip(boundary, zip(arcs[::2], arcs[1::2]))), counts
 
     @staticmethod
     def _smooth(match: dict, joins, boundary: list[int], typecode: str):

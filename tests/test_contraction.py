@@ -89,6 +89,8 @@ def test_contraction_order_is_a_permutation():
     for _ in range(30):
         compiled = CompiledCode(random_multi_code(rng, rng.randint(0, 12)))
         assert sorted(compiled.contraction_order()) == list(range(compiled.n))
+        subset = [k for k in range(compiled.n) if rng.random() < 0.5]
+        assert sorted(compiled.contraction_order(subset)) == subset
 
 
 def test_wide_packing_with_many_components():

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from knotoids.bracket import bracket
 from knotoids.codes import flat_projection, parse
 from knotoids.laurent import LaurentA
@@ -138,3 +140,15 @@ def test_loop_rotation_invariance():
         rotated = KnotoidCode(tuple(comps))
         assert parity_bracket(code) == parity_bracket(rotated)
         assert bracket(code) == bracket(rotated)
+
+
+def test_values_are_hashable_and_graphical_read_only():
+    value = parity_bracket(parse(FIG18))
+    flat = flat_parity_bracket(flat_projection(parse(FIG18)))
+    again = parity_bracket(parse(FIG18))
+    assert hash(value) == hash(again)
+    assert {value: "fig18", flat: "flat"}[again] == "fig18"
+    for v in (value, flat):
+        key = next(iter(v.graphical))
+        with pytest.raises(TypeError):
+            v.graphical[key] = v.graphical[key]

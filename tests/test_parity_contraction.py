@@ -1,0 +1,200 @@
+"""The contracted parity bracket against a per-state accumulation.
+
+``parity_bracket`` reads one graph state per distinct final pairing of the
+frontier engine; the reference here builds, reduces and canonicalizes
+every one of the 2^e states from ``parity_states``, as the bracket's
+definition reads.  ``canonical_graph``'s cut-short traces are checked
+against a plain minimum over full traces.
+"""
+
+import random
+
+import pytest
+
+from knotoids.catalog import load_catalog
+from knotoids.closures import virtual_closure
+from knotoids.codes import (
+    ComponentCode,
+    KnotoidCode,
+    Passage,
+    classify_crossings,
+    flat_projection,
+    parse,
+    spiral,
+)
+from knotoids.errors import LimitExceeded
+from knotoids.laurent import LaurentA, loop_value
+from knotoids.parity_bracket import (
+    FlatParityValue,
+    ParityBracketValue,
+    _close_stub_paths,
+    _trace_component,
+    canonical_graph,
+    flat_parity_bracket,
+    parity_bracket,
+    parity_states,
+    reduce_graph,
+)
+from knotoids.smoothing import CompiledCode
+from helpers import random_code, random_multi_code
+
+
+def reference(code: KnotoidCode, closed: bool = False) -> ParityBracketValue:
+    """Sum A^sigma d^(components - 1) over every state, one state at a time."""
+    plain = LaurentA.zero()
+    graphical: dict[str, LaurentA] = {}
+    d = loop_value()
+    for state in parity_states(code):
+        state = reduce_graph(state)
+        if closed:
+            _close_stub_paths(state)
+            state = reduce_graph(state)
+        encodings = canonical_graph(state)
+        segments = sum(1 for a, b in state.partner.items() if a < 0 and b < 0 and a < b)
+        weight = LaurentA.one()
+        for _ in range(state.circles + segments + len(encodings) - 1):
+            weight = weight * d
+        weight = weight.shift(state.sigma)
+        if encodings:
+            key = " | ".join(encodings)
+            graphical[key] = graphical.get(key, LaurentA.zero()) + weight
+        else:
+            plain = plain + weight
+    return ParityBracketValue(plain, {k: v for k, v in graphical.items() if v})
+
+
+def flat_reference(code: KnotoidCode) -> FlatParityValue:
+    """The A = -1 evaluation of the reference on the flat projection."""
+    comps = tuple(
+        ComponentCode(
+            comp.kind,
+            tuple(
+                Passage("O" if p.visit == 0 else "U", p.label, p.chirality)
+                for p in comp.passages
+            ),
+        )
+        for comp in flat_projection(code).components
+    )
+    value = reference(KnotoidCode(comps))
+    graphical = {k: v.evaluate_int(-1) for k, v in value.graphical.items()}
+    return FlatParityValue(value.plain.evaluate_int(-1), {k: v for k, v in graphical.items() if v})
+
+
+def assert_matches(code):
+    assert parity_bracket(code) == reference(code), code
+    assert parity_bracket(code, closed=True) == reference(code, closed=True), code
+    if len(code.open_components) == 1:
+        closure = virtual_closure(code)
+        assert parity_bracket(closure) == reference(closure), code
+    assert flat_parity_bracket(flat_projection(code)) == flat_reference(code), code
+
+
+def parities(code) -> set[str]:
+    return {info.parity for info in classify_crossings(code)}
+
+
+def test_one_leg_codes_with_loops():
+    rng = random.Random(71)
+    graphs = 0
+    for _ in range(80):
+        code = random_code(rng, rng.randint(0, 8), loops=rng.randint(0, 3))
+        graphs += bool(parity_bracket(code).graphical)
+        assert_matches(code)
+    assert graphs > 20
+
+
+def test_codes_with_several_legs():
+    rng = random.Random(72)
+    legs = 0
+    for _ in range(80):
+        code = random_multi_code(rng, rng.randint(0, 8))
+        legs = max(legs, len(code.open_components))
+        assert_matches(code)
+    assert legs >= 3
+
+
+def test_loop_only_codes():
+    rng = random.Random(73)
+    for _ in range(40):
+        assert_matches(virtual_closure(random_code(rng, rng.randint(0, 8))))
+    for _ in range(40):
+        code = random_multi_code(rng, rng.randint(1, 8))
+        if not code.open_components:
+            assert_matches(code)
+
+
+def test_empty_components():
+    rng = random.Random(74)
+    for _ in range(60):
+        assert_matches(random_multi_code(rng, rng.randint(0, 7), empty=True))
+
+
+def test_all_even_and_all_odd_codes():
+    rng = random.Random(75)
+    found = {"even": 0, "odd": 0}
+    while min(found.values()) < 15:
+        code = random_code(rng, rng.randint(1, 7), loops=rng.choice((0, 0, 1)))
+        kinds = parities(code)
+        kind = "even" if kinds == {"even"} else "odd" if "even" not in kinds else None
+        if kind and found[kind] < 15:
+            found[kind] += 1
+            assert_matches(code)
+    for k in range(1, 5):
+        assert_matches(spiral(k, "+" * (2 * k)))
+
+
+def test_catalog_entries():
+    for entry in load_catalog():
+        assert_matches(entry.code)
+
+
+def plain_canonical(state) -> list[str]:
+    """Per node component, the minimum of its full traces, sorted."""
+    lookup = state.port_node()
+    groups: list[set[int]] = []
+    for node in state.rotations:
+        reach, todo = {node}, [node]
+        while todo:
+            for port in state.rotations[todo.pop()]:
+                q = state.partner[port]
+                if q in lookup and lookup[q][0] not in reach:
+                    reach.add(lookup[q][0])
+                    todo.append(lookup[q][0])
+        if reach not in groups:
+            groups.append(reach)
+    encodings = []
+    for members in groups:
+        ports = [port for k in members for port in state.rotations[k]]
+        starts = [state.partner[p] for p in ports if state.partner[p] < 0] or ports
+        encodings.append(min(_trace_component(state, lookup, members, s) for s in starts))
+    return sorted(encodings)
+
+
+def test_canonical_graph_is_the_minimum_full_trace():
+    rng = random.Random(76)
+    codes = [random_code(rng, rng.randint(2, 7), loops=rng.choice((0, 1))) for _ in range(40)]
+    codes += [random_multi_code(rng, rng.randint(2, 7), empty=True) for _ in range(30)]
+    codes += [entry.code for entry in load_catalog()]
+    nodes = 0
+    for code in codes:
+        for closed in (False, True):
+            for state in parity_states(code):
+                state = reduce_graph(state)
+                if closed:
+                    _close_stub_paths(state)
+                    state = reduce_graph(state)
+                nodes = max(nodes, len(state.rotations))
+                assert canonical_graph(state) == plain_canonical(state), code
+    assert nodes >= 4
+
+
+def test_even_crossing_limit_is_checked_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the state sum ran before the limit check")
+
+    monkeypatch.setattr(CompiledCode, "frontier", no_work)
+    with pytest.raises(LimitExceeded, match=r"^3 even crossings exceed the state limit 2$"):
+        parity_bracket(parse("open: O1+ U2+ O3+ U1+ O2+ U3+"), state_limit=2)
+    monkeypatch.undo()
+    # Only even crossings count: two odd ones pass a limit of zero.
+    assert parity_bracket(parse("open: O1+ U2- U1+ O2-"), state_limit=0).graphical

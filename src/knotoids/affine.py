@@ -12,9 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .arrow import arrow_polynomial
 from .codes import KnotoidCode, OVER, classify_crossings, label_order
 from .errors import ShapeError
 from .laurent import AffinePoly
+from .parity_bracket import parity_bracket
+from .smoothing import DEFAULT_STATE_LIMIT
 
 
 @dataclass(frozen=True)
@@ -148,10 +151,6 @@ class VirtualityReport:
 
 def detect_virtuality(code: KnotoidCode, state_limit: int | None = None) -> VirtualityReport:
     """Flag every virtuality witness the invariant suite can produce."""
-    from .arrow import arrow_polynomial
-    from .parity_bracket import parity_bracket
-    from .smoothing import DEFAULT_STATE_LIMIT
-
     if not code.is_standard_knotoid():
         raise ShapeError("virtuality detection needs a standard knotoid")
     limit = DEFAULT_STATE_LIMIT if state_limit is None else state_limit

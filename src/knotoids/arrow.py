@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .codes import KnotoidCode
 from .errors import LimitExceeded
 from .laurent import ArrowMonomial, ArrowPoly, state_sum, writhe_normalize
-from .smoothing import CIRCLE, CompiledCode, DEFAULT_STATE_LIMIT
+from .smoothing import CIRCLE, CompiledCode, DEFAULT_STATE_LIMIT, _cyclic_reduce, _linear_reduce
 from .bracket import writhe
 
 
@@ -21,23 +21,6 @@ from .bracket import writhe
 class ReducedComponent:
     kind: str  # segment | circle
     reduced_cusp_count: int
-
-
-def _linear_reduce(word: str) -> str:
-    stack: list[str] = []
-    for ch in word:
-        if stack and stack[-1] == ch:
-            stack.pop()
-        else:
-            stack.append(ch)
-    return "".join(stack)
-
-
-def _cyclic_reduce(word: str) -> str:
-    w = _linear_reduce(word)
-    while len(w) >= 2 and w[0] == w[-1]:
-        w = _linear_reduce(w[1:-1])
-    return w
 
 
 def reduce_cusps(word: str, kind: str) -> ReducedComponent:

@@ -18,9 +18,8 @@ class BracketReport:
 
 
 def writhe(code: KnotoidCode) -> int:
-    """Positive minus negative crossings, each crossing counted once."""
-    compiled = CompiledCode(code)
-    return sum(compiled.cross_sign)
+    """Positive minus negative crossings, each counted at its one over passage."""
+    return sum(p.sign for _, _, p in code.all_passages() if p.role == OVER)
 
 
 def bracket(code: KnotoidCode, state_limit: int = DEFAULT_STATE_LIMIT) -> LaurentA:

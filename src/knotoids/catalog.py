@@ -19,6 +19,7 @@ from .affine import affine_index
 from .arrow import arrow_polynomial, normalized_arrow
 from .bracket import bracket, normalized_bracket, writhe
 from .closures import carter_genus, declared_height_interval, height_bounds
+from .errors import UnknownEntry
 from .laurent import LaurentA
 from .parity import odd_writhe
 from .parity_bracket import flat_parity_bracket, normalized_parity_bracket, parity_bracket
@@ -95,7 +96,7 @@ def catalog_entry(entry_id: str) -> CatalogEntry:
     for entry in load_catalog():
         if entry.id == entry_id:
             return entry
-    raise KeyError(f"no catalog entry {entry_id!r}")
+    raise UnknownEntry(f"no catalog entry {entry_id!r}")
 
 
 def compute_invariant(code: KnotoidCode, key: str, state_limit: int = 24) -> str:

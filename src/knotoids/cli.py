@@ -78,10 +78,6 @@ def _emit(args, report: dict, started: float) -> None:
     print(f"timing_ms: {1000 * (time.monotonic() - started):.1f}")
 
 
-def _parity_json(value):
-    return value.to_json()
-
-
 def _run(args) -> int:
     started = time.monotonic()
     limit = args.state_limit
@@ -171,7 +167,7 @@ def _run(args) -> int:
             "graphical_count": len(value.graphical),
         }
         if args.format == "json":
-            report["parity_terms"] = _parity_json(value)
+            report["parity_terms"] = value.to_json()
     elif args.command == "odd-writhe":
         rep = odd_writhe(code)
         report |= {

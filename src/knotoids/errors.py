@@ -29,6 +29,10 @@ class LimitExceeded(KnotoidError):
     """The crossing count exceeds the configured state-sum limit."""
 
 
+class UnknownEntry(KnotoidError):
+    """No bundled catalog entry has the requested id."""
+
+
 class IncompleteChoice(KnotoidError):
     """A smoothing assignment does not cover every crossing."""
 

@@ -28,10 +28,6 @@ class Laurent:
     def one(cls):
         return cls({0: 1})
 
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1):
-        return cls({exponent: coefficient})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -99,9 +95,6 @@ class Laurent:
     def max_degree(self) -> int:
         """Largest exponent with a nonzero coefficient; 0 for the zero polynomial."""
         return max(self.terms) if self.terms else 0
-
-    def min_degree(self) -> int:
-        return min(self.terms) if self.terms else 0
 
     def is_symmetric(self) -> bool:
         """True when coefficient(VAR**k) == coefficient(VAR**-k) for all k."""
@@ -249,10 +242,6 @@ class ArrowPoly:
     @classmethod
     def one(cls) -> "ArrowPoly":
         return cls({ArrowMonomial(): LaurentA.one()})
-
-    @classmethod
-    def from_scalar(cls, scalar: LaurentA) -> "ArrowPoly":
-        return cls({ArrowMonomial(): scalar})
 
     def scalar_part(self) -> LaurentA:
         return self.terms.get(ArrowMonomial(), LaurentA.zero())

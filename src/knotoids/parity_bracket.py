@@ -13,8 +13,9 @@ crossings are smoothed, so the four ports of every node stay boundary
 ends, and each distinct final pairing of node ports and stubs is exactly
 one graph state.  It is built, reduced and given its canonical form once,
 and weighted by the counts of all the states that share it.
-``parity_states`` builds the 2^e states one by one and remains as an
-independent reference for the tests.
+``parity_states`` remains as an independent reference for the tests: it
+glues each of the 2^e smoothings with ``CompiledCode.glue_for_mask`` and
+follows its strands from node port to node port in ``_build_state``.
 
 Scope of move invariance: on single-component diagrams every triangle-move
 configuration carries an even number of nodes and the normalized value is
@@ -83,9 +84,6 @@ class ParityBracketValue:
     def __hash__(self):
         return hash((self.plain, tuple(sorted(self.graphical.items()))))
 
-    def is_plain(self) -> bool:
-        return not self.graphical
-
     def __eq__(self, other):
         return (
             isinstance(other, ParityBracketValue)
@@ -142,20 +140,15 @@ def _node_rotation(compiled: CompiledCode, k: int) -> tuple[int, int, int, int]:
 def _build_state(compiled, node_set, even_list, mask) -> GraphState:
     """Glue the even crossings of one mask and extract the edge structure.
 
-    Only ``parity_states``, the tests' per-state reference, builds states
-    this way.
+    Bit ``i`` of ``mask`` smooths ``even_list[i]`` disoriented.  The walk
+    stops at node ports, so the glue of node crossings is never read.  Only
+    ``parity_states``, the tests' per-state reference, builds states this
+    way.
     """
-    glue = [0] * (2 * compiled.P)
-    sigma = 0
-    for bit, k in enumerate(even_list):
-        disoriented = (mask >> bit) & 1
-        patch = compiled.patch_disoriented[k] if disoriented else compiled.patch_oriented[k]
-        for end, partners in patch:
-            glue[end] = partners
-        if compiled.cross_sign[k] > 0:
-            sigma += -1 if disoriented else 1
-        else:
-            sigma += 1 if disoriented else -1
+    bits = [(mask >> i) & 1 for i in range(len(even_list))]
+    glue = compiled.glue_for_mask(sum(bit << k for bit, k in zip(bits, even_list)))
+    sigma_tab = compiled.sigma_table()
+    sigma = sum(sigma_tab[k][bit] for bit, k in zip(bits, even_list))
 
     is_node_end = [compiled.pass_crossing[e >> 1] in node_set for e in range(2 * compiled.P)]
     succ, pred = compiled.succ, compiled.pred
@@ -184,31 +177,23 @@ def _build_state(compiled, node_set, even_list, mask) -> GraphState:
             if port in partner:
                 continue
             consumed[port] = 1
-            start = succ[port] if port & 1 else pred[port]
-            other = walk_from(start)
-            connect(port, other)
+            connect(port, walk_from(compiled.arc_end(port)))
     for ci in compiled.open_comps:
         tail = -(2 * ci + 1)
         if tail in partner:
             continue
-        other = walk_from(compiled.first_target[ci])
-        connect(tail, other)
+        connect(tail, walk_from(compiled.first_target[ci]))
     for ci in compiled.open_comps:
         head = -(2 * ci + 2)
         if head in partner:
             continue
-        src = compiled.head_source[ci]
-        if src < 0:
-            connect(head, src)
-            continue
-        other = walk_from(src)
-        connect(head, other)
+        connect(head, walk_from(compiled.head_source[ci]))
 
     circles = compiled.free_circles
     for e in range(2 * compiled.P):
         if consumed[e] or is_node_end[e]:
             continue
-        x = succ[e] if e & 1 else pred[e]
+        x = compiled.arc_end(e)
         while True:
             consumed[x] = 1
             g = glue[x]

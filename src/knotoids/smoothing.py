@@ -18,9 +18,12 @@ follows the number of distinct pairings rather than 2^n.  The bracket and
 the arrow polynomial smooth every crossing and read the aggregated counts
 through ``contract``; the parity bracket smooths only the even crossings,
 so the ports of the other crossings stay boundary ends to the end, and it
-reads one graph state per final pairing.  ``CompiledCode.scan``, which
-walks all 2^n states in Gray-code order, and ``resolve``/``enumerate_states``
-remain as independent references for the tests.
+reads one graph state per final pairing.
+
+The tests' independent references visit the 2^n states one by one:
+``trace_state`` is the one per-state walk, and ``CompiledCode.scan``,
+``resolve`` and ``enumerate_states`` are views of it, with cusp words
+reduced by ``_linear_reduce`` and ``_cyclic_reduce``.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ CIRCLE = "circle"
 
 
 class CompiledCode:
-    """Array form of a code: crossings, arc succession and glue patches."""
+    """Array form of a code: crossings, signs and arc succession."""
 
     def __init__(self, code: KnotoidCode):
         self.labels = label_order(code)
@@ -104,14 +107,6 @@ class CompiledCode:
                     self.succ[2 * a + 1] = 2 * b
                     self.pred[2 * b] = 2 * a + 1
 
-        # Glue patches per crossing: (end, partner) assignments.
-        self.patch_oriented = []
-        self.patch_disoriented = []
-        for k in range(self.n):
-            a, b = self.cross_over[k], self.cross_under[k]
-            ia, oa, ib, ob = 2 * a, 2 * a + 1, 2 * b, 2 * b + 1
-            self.patch_oriented.append(((ia, ob), (ob, ia), (ib, oa), (oa, ib)))
-            self.patch_disoriented.append(((ia, ib), (ib, ia), (oa, ob), (ob, oa)))
         # Cusp side at a disoriented site, looked up by the entered passage:
         # R when the traversal enters along the over strand of a positive
         # crossing (or the under strand of a negative one), else L.
@@ -121,120 +116,36 @@ class CompiledCode:
         ]
 
     def glue_for_mask(self, mask: int) -> list[int]:
+        """Each end's partner when set bit ``k`` smooths crossing ``k`` disoriented."""
         glue = [0] * (2 * self.P)
         for k in range(self.n):
-            patch = self.patch_disoriented[k] if (mask >> k) & 1 else self.patch_oriented[k]
-            for end, partner in patch:
-                glue[end] = partner
+            ia, ib = 2 * self.cross_over[k], 2 * self.cross_under[k]
+            if (mask >> k) & 1:
+                joins = ((ia, ib), (ia + 1, ib + 1))
+            else:
+                joins = ((ia, ib + 1), (ib, ia + 1))
+            for x, y in joins:
+                glue[x], glue[y] = y, x
         return glue
 
     def scan(self, want_words: bool):
         """Yield (sigma, components, segment_zigzags, circle_zigzags) per state.
 
-        States are visited in Gray-code order so each step repatches a
-        single crossing.  The zigzag lists hold the reduced cusp count of
+        One state per mask, in increasing order, each traced by
+        ``trace_state``.  The zigzag lists hold the reduced cusp count of
         each component that kept cusps (segments linear-reduced, circles
         cyclically reduced); both stay empty when ``want_words`` is false.
         """
-        n, P = self.n, self.P
-        glue = self.glue_for_mask(0)
         sigma_tab = self.sigma_table()
-        sigma = sum(s[0] for s in sigma_tab)
-        succ, pred = self.succ, self.pred
-        side = self.side_char
-        zero = bytes(2 * P)
-        consumed = bytearray(2 * P)
-        n_stub = 2 * (max(self.open_comps) + 1) if self.open_comps else 0
-        stub_zero = bytes(n_stub)
-        stub_done = bytearray(n_stub)
-        free = self.free_circles
-        open_comps = self.open_comps
-
-        mask_steps = [0]
-        mask = 0
-        for i in range(1, 1 << n):
-            k = (i & -i).bit_length() - 1
-            mask ^= 1 << k
-            mask_steps.append((k + 1) if (mask >> k) & 1 else -(k + 1))
-
-        for step in mask_steps:
-            if step:
-                k = abs(step) - 1
-                disoriented = step > 0
-                patch = self.patch_disoriented[k] if disoriented else self.patch_oriented[k]
-                for end, partner in patch:
-                    glue[end] = partner
-                a, b = sigma_tab[k]
-                sigma += (b - a) if disoriented else (a - b)
-            consumed[:] = zero
-            stub_done[:] = stub_zero
-            segments: list[int] = []
-            circles: list[int] = []
-            comps = free
-
-            def run(x, stack):
-                while x >= 0:
-                    g = glue[x]
-                    consumed[x] = 1
-                    consumed[g] = 1
-                    if want_words and not (x ^ g) & 1:
-                        s = side[x >> 1]
-                        if stack and stack[-1] == s:
-                            stack.pop()
-                        else:
-                            stack.append(s)
-                    x = succ[g] if g & 1 else pred[g]
-                stub_done[-x - 1] = 1
-
-            for ci in open_comps:
-                if stub_done[2 * ci]:
-                    continue
-                stub_done[2 * ci] = 1
-                stack: list[str] = []
-                run(self.first_target[ci], stack)
-                comps += 1
-                if stack:
-                    segments.append(len(stack))
-            for ci in open_comps:
-                if stub_done[2 * ci + 1]:
-                    continue
-                stub_done[2 * ci + 1] = 1
-                stack = []
-                run(self.head_source[ci], stack)
-                comps += 1
-                if stack:
-                    segments.append(len(stack))
-            for e in range(2 * P):
-                if consumed[e]:
-                    continue
-                stack = []
-                x = succ[e] if e & 1 else pred[e]
-                while True:
-                    g = glue[x]
-                    consumed[x] = 1
-                    consumed[g] = 1
-                    if want_words and not (x ^ g) & 1:
-                        s = side[x >> 1]
-                        if stack and stack[-1] == s:
-                            stack.pop()
-                        else:
-                            stack.append(s)
-                    if g == e:
-                        break
-                    x = succ[g] if g & 1 else pred[g]
-                comps += 1
-                if stack:
-                    while len(stack) >= 2 and stack[0] == stack[-1]:
-                        inner = stack[1:-1]
-                        stack = []
-                        for s in inner:
-                            if stack and stack[-1] == s:
-                                stack.pop()
-                            else:
-                                stack.append(s)
-                    if stack:
-                        circles.append(len(stack))
-            yield sigma, comps, segments, circles
+        for mask in range(1 << self.n):
+            segments, circles, free = trace_state(self, self.glue_for_mask(mask), want_words)
+            sigma = sum(s[(mask >> k) & 1] for k, s in enumerate(sigma_tab))
+            yield (
+                sigma,
+                len(segments) + len(circles) + free,
+                [m for w in segments if (m := len(_linear_reduce(w)))],
+                [m for w in circles if (m := len(_cyclic_reduce(w)))],
+            )
 
     def arc_end(self, e: int) -> int:
         """The end (or stub) at the far side of the arc leaving end ``e``."""
@@ -296,8 +207,8 @@ class CompiledCode:
         Every crossing is smoothed, so the final ``frontier`` holds a
         single pairing (each stub paired with itself); the free circles
         and one segment per open component join its closed circles as
-        components.  Counts equal those of ``scan`` aggregated the same
-        way.
+        components.  Counts equal those of the per-state reference ``scan``
+        aggregated the same way.
         """
         [(_, counts)] = self.frontier(want_words, fixed=self.free_circles + len(self.open_comps))
         return counts
@@ -516,76 +427,7 @@ def resolve(code: KnotoidCode, choice: SmoothingChoice) -> StateResolution:
             mask |= 1 << k
         elif chosen[lab] != ORIENTED:
             raise IncompleteChoice(f"bad smoothing {chosen[lab]!r} for {lab!r}")
-    segments, circles, extra = trace_state(compiled, compiled.glue_for_mask(mask), True)
-    comps = [StateComponent(SEGMENT, tuple(Cusp(s) for s in word)) for word in segments]
-    comps.extend(StateComponent(CIRCLE, tuple(Cusp(s) for s in word)) for word in circles)
-    comps.extend(StateComponent(CIRCLE, ()) for _ in range(extra))
-    return StateResolution(tuple(comps))
-
-
-def trace_state(compiled: CompiledCode, glue: list[int], want_words: bool):
-    """Walk every component of one state.
-
-    Returns ``(segment_words, circle_words, free_circles)`` where the word
-    lists hold L/R cusp strings in traversal order and ``free_circles``
-    counts crossing-free loop components.
-    """
-    consumed = bytearray(2 * compiled.P)
-    succ, pred = compiled.succ, compiled.pred
-    side = compiled.side_char
-    segments: list[str] = []
-    circles: list[str] = []
-    done_stubs: set[int] = set()
-
-    def run(arrival: int) -> str:
-        word: list[str] = []
-        x = arrival
-        while x >= 0:
-            g = glue[x]
-            consumed[x] = 1
-            consumed[g] = 1
-            if want_words and (x ^ g) & 1 == 0:
-                word.append(side[x >> 1])
-            x = succ[g] if g & 1 else pred[g]
-        done_stubs.add(x)
-        return "".join(word)
-
-    for ci in compiled.open_comps:
-        tail = -(2 * ci + 1)
-        if tail in done_stubs:
-            continue
-        done_stubs.add(tail)
-        segments.append(run(compiled.first_target[ci]))
-    for ci in compiled.open_comps:
-        head = -(2 * ci + 2)
-        if head in done_stubs:
-            continue
-        done_stubs.add(head)
-        src = compiled.head_source[ci]
-        if src < 0:
-            done_stubs.add(src)
-            segments.append("")
-            continue
-        segments.append(run(src))
-
-    for e in range(2 * compiled.P):
-        if consumed[e]:
-            continue
-        # Start mid-circle: depart from e along its arc and stop on return.
-        word: list[str] = []
-        x = succ[e] if e & 1 else pred[e]
-        while True:
-            g = glue[x]
-            consumed[x] = 1
-            consumed[g] = 1
-            if want_words and (x ^ g) & 1 == 0:
-                word.append(side[x >> 1])
-            if g == e:
-                break
-            x = succ[g] if g & 1 else pred[g]
-        circles.append("".join(word))
-
-    return segments, circles, compiled.free_circles
+    return _resolution(compiled, mask)
 
 
 def enumerate_states(code: KnotoidCode, state_limit: int = DEFAULT_STATE_LIMIT):
@@ -602,11 +444,77 @@ def enumerate_states(code: KnotoidCode, state_limit: int = DEFAULT_STATE_LIMIT):
                 for k, lab in enumerate(compiled.labels)
             )
         )
-        segments, circles, extra = trace_state(compiled, compiled.glue_for_mask(mask), True)
-        comps = [StateComponent(SEGMENT, tuple(Cusp(s) for s in w)) for w in segments]
-        comps.extend(StateComponent(CIRCLE, tuple(Cusp(s) for s in w)) for w in circles)
-        comps.extend(StateComponent(CIRCLE, ()) for _ in range(extra))
-        yield choice, StateResolution(tuple(comps))
+        yield choice, _resolution(compiled, mask)
+
+
+def _resolution(compiled: CompiledCode, mask: int) -> StateResolution:
+    segments, circles, free = trace_state(compiled, compiled.glue_for_mask(mask), True)
+    comps = [StateComponent(SEGMENT, tuple(Cusp(s) for s in word)) for word in segments]
+    comps.extend(StateComponent(CIRCLE, tuple(Cusp(s) for s in word)) for word in circles)
+    comps.extend(StateComponent(CIRCLE, ()) for _ in range(free))
+    return StateResolution(tuple(comps))
+
+
+def trace_state(compiled: CompiledCode, glue: list[int], want_words: bool):
+    """Walk every component of one state: the one per-state walk.
+
+    Returns ``(segment_words, circle_words, free_circles)`` where the word
+    lists hold L/R cusp strings in traversal order and ``free_circles``
+    counts crossing-free loop components.
+    """
+    consumed = bytearray(2 * compiled.P)
+    succ, pred = compiled.succ, compiled.pred
+    side = compiled.side_char
+    done_stubs: set[int] = set()
+
+    def run(x: int, stop: int = -1) -> str:
+        # Follow the strand from end x until it reaches a stub or is glued
+        # back to ``stop``, where a circle closes.
+        word: list[str] = []
+        while x >= 0:
+            g = glue[x]
+            consumed[x] = 1
+            consumed[g] = 1
+            if want_words and (x ^ g) & 1 == 0:
+                word.append(side[x >> 1])
+            if g == stop:
+                break
+            x = succ[g] if g & 1 else pred[g]
+        done_stubs.add(x)
+        return "".join(word)
+
+    segments: list[str] = []
+    legs = [(-(2 * ci + 1), compiled.first_target[ci]) for ci in compiled.open_comps]
+    legs += [(-(2 * ci + 2), compiled.head_source[ci]) for ci in compiled.open_comps]
+    for stub, start in legs:
+        if stub not in done_stubs:
+            done_stubs.add(stub)
+            segments.append(run(start))
+    circles: list[str] = []
+    for e in range(2 * compiled.P):
+        if not consumed[e]:
+            # Start mid-circle: depart from e along its arc, stop on return.
+            circles.append(run(compiled.arc_end(e), e))
+    return segments, circles, compiled.free_circles
+
+
+def _linear_reduce(word: str) -> str:
+    """Delete adjacent equal cusps until none remain (free-product normal form)."""
+    stack: list[str] = []
+    for ch in word:
+        if stack and stack[-1] == ch:
+            stack.pop()
+        else:
+            stack.append(ch)
+    return "".join(stack)
+
+
+def _cyclic_reduce(word: str) -> str:
+    """The normal form of a circle's word, read cyclically."""
+    w = _linear_reduce(word)
+    while len(w) >= 2 and w[0] == w[-1]:
+        w = _linear_reduce(w[1:-1])
+    return w
 
 
 def _items(inner):

@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+from knotoids.arrow import normalized_arrow
 from knotoids.bracket import bracket, bracket_oracle, normalized_bracket, writhe
 from knotoids.codes import parse
 from knotoids.errors import LimitExceeded
 from knotoids.laurent import LaurentA
 from knotoids.closures import virtual_closure
-from helpers import random_code
+from knotoids.smoothing import CompiledCode
+from helpers import random_code, random_multi_code
 
 FIG1G = "open: OA+ OB+ UC+ UD+ UA+ OE+ UF+ OD+ UB+ UE+ OF+ OC+"
 
@@ -18,6 +20,31 @@ def test_writhe_examples():
     assert writhe(parse("open:")) == 0
     assert writhe(parse(FIG1G)) == 6
     assert writhe(parse("open: O1- U1-")) == -1
+
+
+def test_writhe_sums_compiled_signs():
+    rng = random.Random(57)
+    multi = 0
+    for _ in range(150):
+        code = random_multi_code(rng, rng.randint(0, 9), empty=rng.random() < 0.3)
+        multi += len(code.components) > 1
+        assert writhe(code) == sum(CompiledCode(code).cross_sign), code
+    assert multi > 50  # link crossings, loops and empty components all occur
+
+
+def test_one_compile_per_normalized_call(monkeypatch):
+    compiles = []
+    init = CompiledCode.__init__
+
+    def counting_init(self, code):
+        compiles.append(code)
+        init(self, code)
+
+    monkeypatch.setattr(CompiledCode, "__init__", counting_init)
+    for normalize in (normalized_bracket, normalized_arrow):
+        compiles.clear()
+        normalize(parse(FIG1G))
+        assert len(compiles) == 1, normalize.__name__
 
 
 def test_bracket_trivial():

@@ -59,6 +59,15 @@ def test_error_is_machine_readable(capsys):
     assert error["error"]["type"] == "DuplicateRole"
 
 
+def test_unknown_catalog_id_is_typed(capsys):
+    status, out = run(capsys, "invariants", "--catalog", "nope", "--format", "json")
+    assert status == 1
+    assert json.loads(out)["error"] == {
+        "type": "UnknownEntry",
+        "message": "no catalog entry 'nope'",
+    }
+
+
 def test_state_limit_error(capsys):
     status, out = run(capsys, "bracket", "--catalog", "fig1g", "--state-limit", "2")
     assert status == 1

@@ -16,13 +16,13 @@ from importlib import resources
 
 from .codes import KnotoidCode, classify_crossings, evenly_intersticed, parse
 from .affine import affine_index
-from .arrow import arrow_polynomial, normalized_arrow
-from .bracket import bracket, normalized_bracket, writhe
-from .closures import carter_genus, declared_height_interval, height_bounds
+from .arrow import arrow_polynomial
+from .bracket import bracket, writhe
+from .closures import HeightBound, carter_genus, check_height_shape, declared_height_interval
 from .errors import UnknownEntry
-from .laurent import LaurentA
+from .laurent import LaurentA, writhe_normalize
 from .parity import odd_writhe
-from .parity_bracket import flat_parity_bracket, normalized_parity_bracket, parity_bracket
+from .parity_bracket import flat_parity_bracket, normalize_parity, parity_bracket
 from .codes import flat_projection
 
 
@@ -99,14 +99,24 @@ def catalog_entry(entry_id: str) -> CatalogEntry:
     raise UnknownEntry(f"no catalog entry {entry_id!r}")
 
 
-def compute_invariant(code: KnotoidCode, key: str, state_limit: int = 24) -> str:
-    """Render the named invariant of ``code`` in the catalog's exact format."""
+def compute_invariant(
+    code: KnotoidCode, key: str, state_limit: int = 24, memo: dict | None = None
+) -> str:
+    """Render the named invariant of ``code`` in the catalog's exact format;
+    ``memo`` (one dict per code) keeps each underlying value for later keys."""
+    memo = {} if memo is None else memo
+
+    def once(fn, *args):
+        if fn not in memo:
+            memo[fn] = fn(code, *args)
+        return memo[fn]
+
     if key == "writhe":
         return str(writhe(code))
     if key == "odd_writhe":
-        return str(odd_writhe(code).value)
+        return str(once(odd_writhe).value)
     if key == "odd_set":
-        return ",".join(sorted(odd_writhe(code).odd_crossings))
+        return ",".join(sorted(once(odd_writhe).odd_crossings))
     if key in ("parity_even", "parity_link"):
         wanted = "even" if key == "parity_even" else "link"
         labels = [i.label for i in classify_crossings(code) if i.parity == wanted]
@@ -114,33 +124,35 @@ def compute_invariant(code: KnotoidCode, key: str, state_limit: int = 24) -> str
     if key == "evenly_intersticed":
         return "true" if evenly_intersticed(code) else "false"
     if key == "bracket":
-        return bracket(code, state_limit).render()
+        return once(bracket, state_limit).render()
     if key == "normalized_bracket":
-        return normalized_bracket(code, state_limit).normalized.render()
+        return writhe_normalize(once(bracket, state_limit), writhe(code)).render()
     if key == "affine":
-        return affine_index(code).render()
+        return once(affine_index).render()
     if key == "affine_max_degree":
-        return str(affine_index(code).max_degree())
+        return str(once(affine_index).max_degree())
     if key == "affine_symmetric":
-        return "true" if affine_index(code).is_symmetric() else "false"
+        return "true" if once(affine_index).is_symmetric() else "false"
     if key == "arrow":
-        return arrow_polynomial(code, state_limit).render()
+        return once(arrow_polynomial, state_limit).render()
     if key == "normalized_arrow":
-        return normalized_arrow(code, state_limit).render()
+        return writhe_normalize(once(arrow_polynomial, state_limit), writhe(code)).render()
     if key == "k_degree":
-        return str(arrow_polynomial(code, state_limit).k_degree())
+        return str(once(arrow_polynomial, state_limit).k_degree())
     if key == "lambda_degree":
-        return str(arrow_polynomial(code, state_limit).lambda_degree())
+        return str(once(arrow_polynomial, state_limit).lambda_degree())
     if key == "genus":
         return str(carter_genus(code))
     if key == "height_lower":
-        return str(height_bounds(code, state_limit).lower)
+        check_height_shape(code)
+        affine, arrow = once(affine_index), once(arrow_polynomial, state_limit)
+        return str(HeightBound.of(code, affine, arrow).lower)
     if key == "parity_plain":
-        return parity_bracket(code, state_limit).plain.render()
+        return once(parity_bracket, state_limit).plain.render()
     if key == "parity_graphical_count":
-        return str(len(parity_bracket(code, state_limit).graphical))
+        return str(len(once(parity_bracket, state_limit).graphical))
     if key == "parity_graphical_unit":
-        value = parity_bracket(code, state_limit)
+        value = once(parity_bracket, state_limit)
         return (
             "true"
             if len(value.graphical) == 1
@@ -148,7 +160,7 @@ def compute_invariant(code: KnotoidCode, key: str, state_limit: int = 24) -> str
             else "false"
         )
     if key == "normalized_parity_plain":
-        return normalized_parity_bracket(code, state_limit).plain.render()
+        return normalize_parity(once(parity_bracket, state_limit), writhe(code)).plain.render()
     if key == "flat_parity_trivial":
         return "true" if flat_parity_bracket(flat_projection(code), state_limit).is_trivial() else "false"
     raise KeyError(f"unknown invariant key {key!r}")
@@ -156,8 +168,8 @@ def compute_invariant(code: KnotoidCode, key: str, state_limit: int = 24) -> str
 
 def verify_entry(entry: CatalogEntry, state_limit: int = 24) -> VerificationReport:
     """Recompute every expected invariant of one entry and compare exactly."""
-    items = []
+    items, memo = [], {}
     for key in sorted(entry.expected):
-        computed = compute_invariant(entry.code, key, state_limit)
+        computed = compute_invariant(entry.code, key, state_limit, memo)
         items.append(VerificationItem(key, entry.expected[key], computed))
     return VerificationReport(entry.id, entry.quarantined, tuple(items))

@@ -232,7 +232,7 @@ def _run(args) -> int:
         report["proper_evidence"] = proper
         if code.is_standard_knotoid():
             report["virtuality"] = detect_virtuality(code, limit).to_json()
-        report["move_count"] = len(applicable_moves(code, include_inserts=False))
+        report["move_count"] = len(applicable_moves(code, max_crossings=code.crossing_count()))
     else:
         raise KnotoidError(f"unknown command {args.command!r}")
 

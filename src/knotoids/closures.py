@@ -87,6 +87,20 @@ class HeightBound:
     declared_upper: int | None
     formal: bool  # True when the input is not declared classical
 
+    @classmethod
+    def of(cls, code: KnotoidCode, affine, arrow) -> HeightBound:
+        """The bounds of a single-leg code from its affine index and arrow polynomial."""
+        affine_bound = max(affine.max_degree(), 0)
+        lambda_bound = arrow.lambda_degree()
+        declared = declared_height_interval(code)
+        return cls(
+            affine_bound=affine_bound,
+            lambda_bound=lambda_bound,
+            lower=max(affine_bound, lambda_bound),
+            declared_upper=declared[1] if declared else None,
+            formal=code.meta.get("declared_classical") != "true",
+        )
+
     def to_json(self):
         return {
             "affine_bound": self.affine_bound,
@@ -112,16 +126,11 @@ def declared_height_interval(code: KnotoidCode) -> tuple[int, int] | None:
 
 def height_bounds(code: KnotoidCode, state_limit: int = DEFAULT_STATE_LIMIT) -> HeightBound:
     """Lower bounds for the height from the affine index and arrow degrees."""
-    opens = [c for c in code.components if c.kind == OPEN]
-    if len(opens) != 1 or len(opens) != len(code.components):
+    check_height_shape(code)
+    return HeightBound.of(code, affine_index(code), arrow_polynomial(code, state_limit))
+
+
+def check_height_shape(code: KnotoidCode) -> None:
+    """Raise ShapeError unless ``height_bounds`` is defined for the code."""
+    if not code.is_standard_knotoid():
         raise ShapeError("height bounds need a single open component")
-    affine_bound = max(affine_index(code).max_degree(), 0)
-    lambda_bound = arrow_polynomial(code, state_limit).lambda_degree()
-    declared = declared_height_interval(code)
-    return HeightBound(
-        affine_bound=affine_bound,
-        lambda_bound=lambda_bound,
-        lower=max(affine_bound, lambda_bound),
-        declared_upper=declared[1] if declared else None,
-        formal=code.meta.get("declared_classical") != "true",
-    )

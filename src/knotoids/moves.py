@@ -15,11 +15,22 @@ plane triangle configurations:
 where the top strand overpasses both others and the middle strand
 overpasses the bottom one.  Endpoints are never moved across strands, so
 the forbidden endpoint slides cannot arise.
+
+``applicable_moves(code, max_crossings)`` builds only the moves whose
+result keeps at most ``max_crossings`` crossings, in the order of the
+uncapped list: with budget b = max_crossings - n, R1 inserts need b >= 1,
+R2 inserts b >= 2, and deletions and slides a crossing change of at most b.
+R3 sites are found through a label index: the three pairs of a triangle
+carry the label sets {x,y}, {y,z} and {x,z}, so only such triples reach
+the pattern check.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .codes import ComponentCode, KnotoidCode, LOOP, OPEN, OVER, Passage, UNDER, validate
@@ -30,6 +41,7 @@ R1_DELETE = "r1_delete"
 R2_INSERT = "r2_insert"
 R2_DELETE = "r2_delete"
 R3_SLIDE = "r3_slide"
+_CROSSING_DELTA = {R1_INSERT: 1, R1_DELETE: -1, R2_INSERT: 2, R2_DELETE: -2}
 
 
 @dataclass(frozen=True)
@@ -38,28 +50,13 @@ class MoveSpec:
     params: tuple
 
     def crossing_delta(self) -> int:
-        if self.kind == R1_INSERT:
-            return 1
-        if self.kind == R1_DELETE:
-            return -1
-        if self.kind == R2_INSERT:
-            return 2
-        if self.kind == R2_DELETE:
-            return -2
-        return 0
+        return _CROSSING_DELTA.get(self.kind, 0)
 
 
 def _fresh_labels(code: KnotoidCode, count: int) -> list[str]:
     used = {p.label for _, _, p in code.all_passages()}
-    labels = []
-    i = 1
-    while len(labels) < count:
-        cand = str(i)
-        if cand not in used:
-            labels.append(cand)
-            used.add(cand)
-        i += 1
-    return labels
+    fresh = (str(i) for i in itertools.count(1) if str(i) not in used)
+    return list(itertools.islice(fresh, count))
 
 
 def _adjacent_pairs(comp: ComponentCode):
@@ -87,83 +84,80 @@ def _with_component(code: KnotoidCode, ci: int, passages: tuple) -> KnotoidCode:
     return KnotoidCode(tuple(comps), code.meta)
 
 
-def applicable_moves(code: KnotoidCode, include_inserts: bool = True) -> list[MoveSpec]:
-    """Every move applicable to the code, deterministic order."""
+def applicable_moves(code: KnotoidCode, max_crossings: int | None = None) -> list[MoveSpec]:
+    """Every applicable move whose result has at most ``max_crossings``
+    crossings (no bound when None), deterministic order."""
+    budget = math.inf if max_crossings is None else max_crossings - code.crossing_count()
+    sites = []
+    for ci, comp in enumerate(code.components):
+        slots = len(comp.passages) + 1 if comp.kind == OPEN else max(len(comp.passages), 1)
+        sites.extend((ci, pos) for pos in range(slots))
     moves: list[MoveSpec] = []
-    if include_inserts:
-        for ci, comp in enumerate(code.components):
-            slots = len(comp.passages) + 1 if comp.kind == OPEN else max(len(comp.passages), 1)
-            for pos in range(slots):
-                for over_first in (True, False):
-                    for sign in (1, -1):
-                        moves.append(MoveSpec(R1_INSERT, (ci, pos, over_first, sign)))
-        sites = []
-        for ci, comp in enumerate(code.components):
-            slots = len(comp.passages) + 1 if comp.kind == OPEN else max(len(comp.passages), 1)
-            sites.extend((ci, pos) for pos in range(slots))
-        for a in range(len(sites)):
-            for b in range(a, len(sites)):
-                s1, s2 = sites[a], sites[b]
-                for over_site in (1, 2):
-                    for parallel in (False, True):
-                        if parallel and s1 == s2:
-                            continue
-                        for sign in (1, -1):
-                            moves.append(
-                                MoveSpec(R2_INSERT, (s1, s2, over_site, parallel, sign))
-                            )
-    moves.extend(_deletion_moves(code))
-    moves.extend(_r3_moves(code))
+    if budget >= 1:
+        moves += [
+            MoveSpec(R1_INSERT, (ci, pos, over_first, sign))
+            for ci, pos in sites
+            for over_first in (True, False)
+            for sign in (1, -1)
+        ]
+    if budget >= 2:
+        moves += [
+            MoveSpec(R2_INSERT, (s1, s2, over_site, parallel, sign))
+            for a, s1 in enumerate(sites)
+            for s2 in sites[a:]
+            for over_site in (1, 2)
+            for parallel in (False, True)
+            if not (parallel and s1 == s2)
+            for sign in (1, -1)
+        ]
+    moves.extend(m for m in _deletion_moves(code) if m.crossing_delta() <= budget)
+    if budget >= 0:
+        moves.extend(_r3_moves(code))
     return moves
 
 
 def _deletion_moves(code: KnotoidCode) -> list[MoveSpec]:
-    moves = []
+    moves, over_pairs, under_pairs = [], [], {}
     for ci, comp in enumerate(code.components):
         for pos, p, q in _adjacent_pairs(comp):
             if p.label == q.label:
                 moves.append(MoveSpec(R1_DELETE, ((ci, pos),)))
-    over_pairs = []
-    under_pairs = {}
-    for ci, comp in enumerate(code.components):
-        for pos, p, q in _adjacent_pairs(comp):
-            if p.label == q.label:
-                continue
-            if p.role == OVER and q.role == OVER:
-                over_pairs.append((ci, pos, p, q))
-            elif p.role == UNDER and q.role == UNDER:
-                under_pairs.setdefault(frozenset((p.label, q.label)), []).append(
-                    (ci, pos, p, q)
-                )
-    for ci, pos, p, q in over_pairs:
-        for cj, pos2, u1, u2 in under_pairs.get(frozenset((p.label, q.label)), ()):
-            if p.sign != -q.sign:
-                continue
-            span1 = {(ci, pos), (ci, (pos + 1) % len(code.components[ci].passages))}
-            span2 = {(cj, pos2), (cj, (pos2 + 1) % len(code.components[cj].passages))}
-            if span1 & span2:
-                continue
-            if (u1.label, u2.label) in ((p.label, q.label), (q.label, p.label)):
-                moves.append(MoveSpec(R2_DELETE, ((ci, pos), (cj, pos2))))
+            elif p.role == q.role == OVER and p.sign == -q.sign:
+                over_pairs.append((ci, pos, frozenset((p.label, q.label))))
+            elif p.role == q.role == UNDER:
+                under_pairs.setdefault(frozenset((p.label, q.label)), []).append((ci, pos))
+    # An over pair and an under pair never share a passage, and a pair of
+    # distinct labels meets its label set in one of the two orders.
+    for ci, pos, key in over_pairs:
+        for cj, pos2 in under_pairs.get(key, ()):
+            moves.append(MoveSpec(R2_DELETE, ((ci, pos), (cj, pos2))))
     return moves
 
 
 def _r3_moves(code: KnotoidCode) -> list[MoveSpec]:
-    moves = []
-    pair_list = []
+    """R3 sites in index order; ``_valid_r3`` sees only the label triangles."""
+    pair_list, keys, by_label, by_set = [], [], {}, {}
     for ci, comp in enumerate(code.components):
         for pos, p, q in _adjacent_pairs(comp):
             if p.label != q.label:
+                key = frozenset((p.label, q.label))
+                for label in key:
+                    by_label.setdefault(label, []).append(len(keys))
+                by_set.setdefault(key, []).append(len(keys))
                 pair_list.append(((ci, pos), p, q))
-    n = len(pair_list)
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                sites = (pair_list[a], pair_list[b], pair_list[c])
-                if _valid_r3(code, sites):
-                    moves.append(
-                        MoveSpec(R3_SLIDE, tuple(site for site, _, _ in sites))
-                    )
+                keys.append(key)
+    triples = [
+        (a, b, c)
+        for indices in by_label.values()
+        for a, b in itertools.combinations(indices, 2)
+        for c in by_set.get(keys[a] ^ keys[b], ())
+        if c > b
+    ]
+    moves = []
+    for triple in sorted(triples):
+        sites = tuple(pair_list[i] for i in triple)
+        if _valid_r3(code, sites):
+            moves.append(MoveSpec(R3_SLIDE, tuple(site for site, _, _ in sites)))
     return moves
 
 
@@ -176,15 +170,10 @@ def _valid_r3(code: KnotoidCode, sites) -> bool:
         spans.add((ci, (pos + 1) % k))
     if len(spans) != 6:
         return False
-    labels: dict[str, int] = {}
-    for _, p, q in sites:
-        for x in (p, q):
-            labels[x.label] = labels.get(x.label, 0) + 1
+    labels = Counter(x.label for _, p, q in sites for x in (p, q))
     if len(labels) != 3 or set(labels.values()) != {2}:
         return False
-    roles = []
-    for _, p, q in sites:
-        roles.append((p.role, q.role))
+    roles = [(p.role, q.role) for _, p, q in sites]
     top = [i for i, r in enumerate(roles) if r == (OVER, OVER)]
     bottom = [i for i, r in enumerate(roles) if r == (UNDER, UNDER)]
     mixed = [i for i, r in enumerate(roles) if r in ((OVER, UNDER), (UNDER, OVER))]
@@ -204,10 +193,7 @@ def _valid_r3(code: KnotoidCode, sites) -> bool:
     m_role = {m[1].label: m[1].role, m[2].label: m[2].role}
     if m_role[tm] != UNDER or m_role[mb] != OVER:
         return False
-    signs = {}
-    for _, p, q in sites:
-        signs[p.label] = p.sign
-        signs[q.label] = q.sign
+    signs = {x.label: x.sign for _, p, q in sites for x in (p, q)}
     order_t = t[1].label == tm
     order_m = m[1].label == tm
     order_b = b[1].label == tb
@@ -368,16 +354,8 @@ def random_walk(
     trajectory = [code]
     current = code
     for _ in range(steps):
-        n = current.crossing_count()
-        moves = [
-            m
-            for m in applicable_moves(current)
-            if n + m.crossing_delta() <= max_crossings
-        ]
-        if not moves:
-            trajectory.append(current)
-            continue
-        move = moves[rng.randrange(len(moves))]
-        current = apply_move(current, move)
+        moves = applicable_moves(current, max_crossings=max_crossings)
+        if moves:
+            current = apply_move(current, moves[rng.randrange(len(moves))])
         trajectory.append(current)
     return trajectory

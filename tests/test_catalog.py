@@ -1,5 +1,7 @@
 """Catalog fixtures: presence, provenance, and exact verification."""
 
+import knotoids.catalog
+import knotoids.closures
 from knotoids.catalog import catalog_entry, load_catalog, verify_entry
 from knotoids.codes import serialize, spiral
 
@@ -45,6 +47,25 @@ def test_every_unquarantined_entry_verifies():
         report = verify_entry(entry)
         failed = [i for i in report.items if not i.ok]
         assert not failed, f"{entry.id}: {failed}"
+
+
+def test_verify_computes_each_state_sum_once(monkeypatch):
+    # fig1g expects arrow, k_degree, lambda_degree and height_lower, which all
+    # read one arrow polynomial, and affine, affine_max_degree and height_lower.
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    for module in (knotoids.catalog, knotoids.closures):
+        for name in ("arrow_polynomial", "affine_index"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    report = verify_entry(catalog_entry("fig1g"))
+    assert report.ok
+    assert sorted(calls) == ["affine_index", "arrow_polynomial"]
 
 
 def test_quarantined_entry_documents_discrepancy():

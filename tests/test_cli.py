@@ -36,6 +36,8 @@ def test_invariants_proper_flags(capsys):
     assert "nonzero odd writhe" in report["proper_evidence"]
     assert "nonzero affine index" in report["proper_evidence"]
     assert "positive Lambda-degree" in report["proper_evidence"]
+    # Moves that add no crossing: fig1g has no deletion and three R3 sites.
+    assert report["move_count"] == 3
 
 
 def test_json_deterministic(capsys):

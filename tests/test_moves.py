@@ -1,10 +1,13 @@
 """Move engine: applicability patterns, application, inverses, walks."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
-from knotoids.codes import classify_crossings, parse, serialize, validate
+from knotoids.cli import main
+from knotoids.codes import LOOP, classify_crossings, parse, serialize, validate
 from knotoids.errors import InapplicableMove
 from knotoids.moves import (
     MoveSpec,
@@ -13,12 +16,15 @@ from knotoids.moves import (
     R2_DELETE,
     R2_INSERT,
     R3_SLIDE,
+    _adjacent_pairs,
+    _r3_moves,
+    _valid_r3,
     applicable_moves,
     apply_move,
     inverse_of,
     random_walk,
 )
-from helpers import invariant_suite, random_code
+from helpers import invariant_suite, random_code, random_multi_code
 
 FIG1G = "open: OA+ OB+ UC+ UD+ UA+ OE+ UF+ OD+ UB+ UE+ OF+ OC+"
 
@@ -190,3 +196,131 @@ def test_multi_component_walk_invariance():
                 normalized_bracket(step).normalized,
                 normalized_arrow(step),
             ) == base
+
+
+def _digest(trajectories):
+    blob = json.dumps([[serialize(c) for c in t] for t in trajectories])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _criterion_8_walks(count):
+    """The first ``count`` walks of tests/test_acceptance.py's criterion 8."""
+    rng = random.Random(20_008)
+    walks = []
+    for _ in range(count):
+        code = random_code(rng, rng.randint(2, 5))
+        seed = rng.randrange(1 << 30)
+        walks.append(random_walk(code, steps=20, seed=seed, max_crossings=10))
+    return walks
+
+
+def _loop_walks(count):
+    rng = random.Random(5005)
+    walks = []
+    while len(walks) < count:
+        code = random_multi_code(rng, rng.randint(1, 5), empty=rng.random() < 0.25)
+        if any(c.kind == LOOP for c in code.components):
+            seed = rng.randrange(1 << 30)
+            walks.append(random_walk(code, steps=15, seed=seed, max_crossings=8))
+    return walks
+
+
+def _over_cap_walks():
+    """Walks from 12+ crossing codes under a cap of 10."""
+    walks = []
+    for s in range(5):
+        up = random_walk(parse(FIG1G), steps=30, seed=100 + s, max_crossings=14)
+        start = next(c for c in up if c.crossing_count() >= 12)
+        walks.append(random_walk(start, steps=20, seed=s, max_crossings=10))
+    return walks
+
+
+# Digests of the serialized trajectories as produced by the move engine that
+# built every move and filtered the list by the cap afterwards.
+def test_golden_criterion_8_trajectories():
+    digest = _digest(_criterion_8_walks(100))
+    assert digest == "8090ad68d4634424a1b1d7841dc4c6312b1f479977a8c98d7cc307209eaf8677"
+
+
+def test_golden_loop_component_trajectories():
+    digest = _digest(_loop_walks(40))
+    assert digest == "86ef2dab8ac3e5b858bec90685d5130620b8e191c7407be330cc9bb698d6c936"
+
+
+def test_golden_walks_starting_over_the_cap():
+    walks = _over_cap_walks()
+    for walk in walks:
+        assert walk[0].crossing_count() >= 12
+        # A start with no deletion back under the cap has no move at all.
+        stuck = set(walk) == {walk[0]}
+        assert stuck or all(c.crossing_count() <= 10 for c in walk[1:])
+    assert sum(set(walk) == {walk[0]} for walk in walks) == 1
+    assert _digest(walks) == "d7d57b0fee38288e2808608975bddaca686084b550ae134b1e15247e0338fe32"
+
+
+def test_golden_cli_walk(capsys):
+    args = ["moves", "walk", "--catalog", "fig1g", "--steps", "20", "--seed", "7",
+            "--max", "12", "--format", "json"]
+    assert main(args) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "063c2381141afda52e3aeb3f0f41fb586dd0cf7caf01a65dad4dabc8a15d1035"
+
+
+def _r3_scan(code):
+    """Reference R3 enumeration: every triple of distinct-label adjacent pairs."""
+    pairs = [
+        ((ci, pos), p, q)
+        for ci, comp in enumerate(code.components)
+        for pos, p, q in _adjacent_pairs(comp)
+        if p.label != q.label
+    ]
+    moves = []
+    for a in range(len(pairs)):
+        for b in range(a + 1, len(pairs)):
+            for c in range(b + 1, len(pairs)):
+                sites = (pairs[a], pairs[b], pairs[c])
+                if _valid_r3(code, sites):
+                    moves.append(MoveSpec(R3_SLIDE, tuple(site for site, _, _ in sites)))
+    return moves
+
+
+def _differential_codes():
+    rng = random.Random(5150)
+    codes = []
+    for walk in _criterion_8_walks(40):
+        codes.extend(walk[1:])
+    for _ in range(40):
+        code = random_multi_code(rng, rng.randint(1, 5), empty=rng.random() < 0.3)
+        codes.extend(random_walk(code, steps=10, seed=rng.randrange(1 << 30), max_crossings=9))
+    for _ in range(40):
+        code = random_code(rng, rng.randint(1, 5), loops=rng.choice((1, 2)))
+        codes.extend(random_walk(code, steps=10, seed=rng.randrange(1 << 30), max_crossings=9))
+    return codes
+
+
+# Its label index meets the R3 site at the later pairs first.
+UNSORTED_R3 = (
+    "open: U2+ U9+ U10- O4- U1- O8+ U8+ O13- U13- U3- O6+ O15+ O16- O5+ O2+ U6+ U4- "
+    "U15+ U16- U14+ O14+ O3- U5+ O9+ O7+ U7+ O10- O1-"
+)
+
+
+def test_indexed_r3_matches_triple_scan():
+    assert len(_r3_moves(parse(UNSORTED_R3))) >= 2
+    codes = [parse(UNSORTED_R3)] + _differential_codes()
+    with_sites = 0
+    for code in codes:
+        expected = _r3_scan(code)
+        assert _r3_moves(code) == expected, serialize(code)
+        with_sites += bool(expected)
+    assert with_sites >= 200
+
+
+def test_capped_moves_are_the_filtered_full_list():
+    for code in _differential_codes()[::5]:
+        n = code.crossing_count()
+        full = applicable_moves(code)
+        for cap in range(n + 4):
+            assert applicable_moves(code, max_crossings=cap) == [
+                mv for mv in full if n + mv.crossing_delta() <= cap
+            ]

@@ -89,9 +89,8 @@ def arc_labels(code: KnotoidCode) -> list[int]:
 
 def weight_chart(code: KnotoidCode) -> WeightChart:
     """Per-crossing weights from the flat-diagram labeling."""
-    _require_single_component(code)
-    comp = code.components[0]
     labels = arc_labels(code)
+    comp = code.components[0]
     incoming: dict[tuple[str, str], int] = {}
     for i, p in enumerate(comp.passages):
         incoming[(p.label, p.role)] = labels[i]
@@ -134,6 +133,11 @@ class VirtualityReport:
     k_degree_positive: bool
     irreducible_parity_graph: bool
 
+    @classmethod
+    def of(cls, affine, arrow, parity) -> VirtualityReport:
+        """The witnesses read off the affine index, arrow polynomial and parity bracket."""
+        return cls(not affine.is_symmetric(), arrow.k_degree() > 0, bool(parity.graphical))
+
     @property
     def verdict(self) -> str:
         if self.affine_asymmetric or self.k_degree_positive or self.irreducible_parity_graph:
@@ -154,11 +158,5 @@ def detect_virtuality(code: KnotoidCode, state_limit: int | None = None) -> Virt
     if not code.is_standard_knotoid():
         raise ShapeError("virtuality detection needs a standard knotoid")
     limit = DEFAULT_STATE_LIMIT if state_limit is None else state_limit
-    asymmetric = not affine_index(code).is_symmetric()
-    k_positive = arrow_polynomial(code, limit).k_degree() > 0
-    graphical = bool(parity_bracket(code, limit).graphical)
-    return VirtualityReport(
-        affine_asymmetric=asymmetric,
-        k_degree_positive=k_positive,
-        irreducible_parity_graph=graphical,
-    )
+    values = affine_index(code), arrow_polynomial(code, limit), parity_bracket(code, limit)
+    return VirtualityReport.of(*values)

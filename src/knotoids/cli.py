@@ -19,7 +19,6 @@ from . import (
     arrow_polynomial,
     carter_genus,
     classify_crossings,
-    detect_virtuality,
     evenly_intersticed,
     flat_projection,
     height_bounds,
@@ -33,30 +32,33 @@ from . import (
     writhe,
     writhe_normalize,
 )
+from .affine import VirtualityReport
 from .codes import KnotoidCode
 from .catalog import catalog_entry, load_catalog, verify_entry
-from .errors import KnotoidError, ShapeError
+from .closures import HeightBound
+from .errors import BadArgument, InputFileError, KnotoidError, ShapeError
 from .parity_bracket import flat_parity_bracket, normalize_parity, parity_bracket
 from .smoothing import DEFAULT_STATE_LIMIT
 
 
 def _echo(code: KnotoidCode) -> list[str]:
-    return [
-        line
-        for line in serialize(KnotoidCode(code.components)).strip().splitlines()
-        if not line.startswith("meta ")
-    ]
+    return serialize(KnotoidCode(code.components)).strip().splitlines()
 
 
 def _load_code(args):
     sources = [s for s in (args.code, args.file, args.catalog) if s]
     if len(sources) != 1:
-        raise KnotoidError("give exactly one of --code, --file, --catalog")
+        raise BadArgument("give exactly one of --code, --file, --catalog")
     if args.code:
         return parse(args.code.replace(";", "\n"))
     if args.file:
-        with open(args.file) as fh:
-            return parse(fh.read())
+        try:
+            with open(args.file, encoding="utf-8") as fh:
+                return parse(fh.read())
+        except OSError as exc:
+            raise InputFileError(f"cannot read --file {args.file!r}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise InputFileError(f"--file {args.file!r} is not UTF-8 text") from None
     return catalog_entry(args.catalog).code
 
 
@@ -65,14 +67,11 @@ def _emit(args, report: dict, started: float) -> None:
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
         return
     for key, value in report.items():
-        if isinstance(value, dict):
+        if isinstance(value, (dict, list)):
             print(f"{key}:")
-            for k, v in value.items():
-                print(f"  {k}: {v}")
-        elif isinstance(value, list):
-            print(f"{key}:")
-            for item in value:
-                print(f"  {item}")
+            rows = [f"{k}: {v}" for k, v in value.items()] if isinstance(value, dict) else value
+            for row in rows:
+                print(f"  {row}")
         else:
             print(f"{key}: {value}")
     print(f"timing_ms: {1000 * (time.monotonic() - started):.1f}")
@@ -81,17 +80,16 @@ def _emit(args, report: dict, started: float) -> None:
 def _run(args) -> int:
     started = time.monotonic()
     limit = args.state_limit
+    for option in ("steps", "max", "state_limit"):
+        value = getattr(args, option, 0)
+        if value < 0:
+            raise BadArgument(f"--{option.replace('_', '-')} must be non-negative, got {value}")
 
     if args.command == "catalog":
         if args.action == "list":
-            report = {
-                "entries": [
-                    f"{e.id} [{e.source}]"
-                    + (" quarantined" if e.quarantined else "")
-                    for e in load_catalog()
-                ]
-            }
-            _emit(args, report, started)
+            entries = [f"{e.id} [{e.source}]" + (" quarantined" if e.quarantined else "")
+                       for e in load_catalog()]
+            _emit(args, {"entries": entries}, started)
             return 0
         failures = 0
         lines = []
@@ -135,10 +133,8 @@ def _run(args) -> int:
             "normalized_bracket": rep.normalized.render(),
         }
         if args.format == "json":
-            report |= {
-                "bracket_terms": rep.raw.to_json(),
-                "normalized_terms": rep.normalized.to_json(),
-            }
+            report |= {"bracket_terms": rep.raw.to_json(),
+                       "normalized_terms": rep.normalized.to_json()}
     elif args.command == "arrow":
         poly = arrow_polynomial(code, limit)
         report |= {
@@ -187,28 +183,29 @@ def _run(args) -> int:
         bound = height_bounds(code, limit)
         report |= bound.to_json()
     elif args.command == "invariants":
-        rep = normalized_bracket(code, limit)
+        w = writhe(code)
         arrow = arrow_polynomial(code, limit)
+        raw = arrow.coefficient_sum()
         parity = parity_bracket(code, limit)
         ow = odd_writhe(code)
         report |= {
-            "writhe": rep.writhe,
+            "writhe": w,
             "odd_writhe": ow.value,
-            "bracket": rep.raw.render(),
-            "normalized_bracket": rep.normalized.render(),
+            "bracket": raw.render(),
+            "normalized_bracket": writhe_normalize(raw, w).render(),
             "arrow": arrow.render(),
-            "normalized_arrow": writhe_normalize(arrow, rep.writhe).render(),
+            "normalized_arrow": writhe_normalize(arrow, w).render(),
             "k_degree": arrow.k_degree(),
             "lambda_degree": arrow.lambda_degree(),
             "parity_bracket": parity.render(),
-            "normalized_parity_bracket": normalize_parity(parity, rep.writhe).render(),
+            "normalized_parity_bracket": normalize_parity(parity, w).render(),
             "flat_parity_trivial": flat_parity_bracket(flat_projection(code), limit).is_trivial(),
         }
         try:
             affine = affine_index(code)
             report |= {"affine": affine.render(), "affine_symmetric": affine.is_symmetric()}
         except ShapeError:
-            report["affine"] = None
+            affine = report["affine"] = None
         try:
             report["genus"] = carter_genus(code)
         except ShapeError:
@@ -217,11 +214,9 @@ def _run(args) -> int:
             report["evenly_intersticed"] = evenly_intersticed(code)
         except ShapeError:
             report["evenly_intersticed"] = None
-        try:
-            bound = height_bounds(code, limit)
-            report["height_bounds"] = bound.to_json()
-        except ShapeError:
-            report["height_bounds"] = None
+        standard = code.is_standard_knotoid()
+        bound = HeightBound.of(code, affine, arrow) if standard else None
+        report["height_bounds"] = bound.to_json() if standard else None
         proper = []
         if ow.value != 0:
             proper.append("nonzero odd writhe")
@@ -230,8 +225,8 @@ def _run(args) -> int:
         if arrow.lambda_degree() > 0:
             proper.append("positive Lambda-degree")
         report["proper_evidence"] = proper
-        if code.is_standard_knotoid():
-            report["virtuality"] = detect_virtuality(code, limit).to_json()
+        if standard:
+            report["virtuality"] = VirtualityReport.of(affine, arrow, parity).to_json()
         report["move_count"] = len(applicable_moves(code, max_crossings=code.crossing_count()))
     else:
         raise KnotoidError(f"unknown command {args.command!r}")
@@ -281,12 +276,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except KnotoidError as exc:
+    except (KnotoidError, KeyError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}},
                          sort_keys=True))
-        return 1
-    except KeyError as exc:
-        print(json.dumps({"error": {"type": "KeyError", "message": str(exc)}}, sort_keys=True))
         return 1
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codes import ComponentCode, KnotoidCode, LOOP, OPEN
-from .errors import ParityError, ShapeError
+from .errors import CodeSyntaxError, ParityError, ShapeError
 from .affine import affine_index
 from .arrow import arrow_polynomial
 from .smoothing import CompiledCode, DEFAULT_STATE_LIMIT
@@ -117,11 +117,11 @@ def declared_height_interval(code: KnotoidCode) -> tuple[int, int] | None:
     if raw is None:
         return None
     text = str(raw)
-    if ".." in text:
-        lo, hi = text.split("..", 1)
+    lo, hi = text.split("..", 1) if ".." in text else (text, text)
+    try:
         return int(lo), int(hi)
-    value = int(text)
-    return value, value
+    except ValueError:
+        raise CodeSyntaxError(f"malformed declared_height {text!r}") from None
 
 
 def height_bounds(code: KnotoidCode, state_limit: int = DEFAULT_STATE_LIMIT) -> HeightBound:

@@ -33,6 +33,14 @@ class UnknownEntry(KnotoidError):
     """No bundled catalog entry has the requested id."""
 
 
+class InputFileError(KnotoidError):
+    """An input file cannot be opened or is not UTF-8 text."""
+
+
+class BadArgument(KnotoidError):
+    """A command-line option has a value outside its range."""
+
+
 class IncompleteChoice(KnotoidError):
     """A smoothing assignment does not cover every crossing."""
 

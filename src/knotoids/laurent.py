@@ -287,9 +287,6 @@ class ArrowPoly:
     def scale(self, factor: LaurentA) -> "ArrowPoly":
         return ArrowPoly({m: c * factor for m, c in self.terms.items()})
 
-    def add_term(self, monomial: ArrowMonomial, coefficient: LaurentA) -> "ArrowPoly":
-        return self + ArrowPoly({monomial: coefficient})
-
     def substitute_lambda_with_k(self) -> "ArrowPoly":
         """Replace every L_i by K_i (the virtual-closure specialization)."""
         out = ArrowPoly.zero()
@@ -298,8 +295,12 @@ class ArrowPoly:
             for i, j in m.k_factors:
                 k_indices.extend([i] * j)
             k_indices.extend(m.lambda_factors)
-            out = out.add_term(ArrowMonomial.build(k_indices, ()), c)
+            out = out + ArrowPoly({ArrowMonomial.build(k_indices, ()): c})
         return out
+
+    def coefficient_sum(self) -> LaurentA:
+        """Every K_i and L_i set to 1: the bracket polynomial of the same diagram."""
+        return sum(self.terms.values(), LaurentA.zero())
 
     def k_degree(self) -> int:
         return max((m.k_degree() for m in self.terms), default=0)

@@ -4,10 +4,18 @@ import random
 
 import pytest
 
-from knotoids.affine import affine_index, arc_labels, detect_virtuality, weight_chart
+from knotoids.affine import (
+    VirtualityReport,
+    affine_index,
+    arc_labels,
+    detect_virtuality,
+    weight_chart,
+)
+from knotoids.arrow import arrow_polynomial
 from knotoids.codes import parse, reverse, spiral
 from knotoids.errors import ShapeError
 from knotoids.laurent import AffinePoly
+from knotoids.parity_bracket import parity_bracket
 from helpers import random_code
 
 FIG1G = "open: OA+ OB+ UC+ UD+ UA+ OE+ UF+ OD+ UB+ UE+ OF+ OC+"
@@ -103,3 +111,16 @@ def test_detect_virtuality_flags():
     for text in ("open:", "open: O1+ U1+", "open: O1+ U2+ O3+ U1+ O2+ U3+"):
         report = detect_virtuality(parse(text))
         assert report.verdict == "inconclusive"
+
+
+def test_virtuality_report_of_given_values():
+    # fig1g has Lambda-degree 2 but K-degree 0, so only the K-degree may set
+    # the flag; fig18 has K-degree 1 and one irreducible graphical state.
+    for text, flags in ((FIG1G, (False, False, False)),
+                        ("open: O1+ U2- U1+ O2-", (False, True, True))):
+        code = parse(text)
+        report = VirtualityReport.of(affine_index(code), arrow_polynomial(code),
+                                     parity_bracket(code))
+        assert report == VirtualityReport(*flags) == detect_virtuality(code)
+    with pytest.raises(ShapeError):
+        detect_virtuality(parse("open: O1+ U1+\nloop:"))

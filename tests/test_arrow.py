@@ -66,6 +66,7 @@ def test_coefficient_sum_reproduces_bracket():
         for coeff in arrow.terms.values():
             total = total + coeff
         assert total == bracket(code)
+        assert arrow.coefficient_sum() == total
 
 
 def test_arrow_move_invariance_spot():

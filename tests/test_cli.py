@@ -1,8 +1,18 @@
 """Command-line interface: commands, formats, determinism, errors."""
 
+import hashlib
 import json
+import random
 
+import knotoids.affine
+import knotoids.cli
+import knotoids.closures
+from knotoids.catalog import load_catalog
 from knotoids.cli import main
+from knotoids.codes import serialize
+from knotoids.errors import KnotoidError
+from knotoids.smoothing import CompiledCode
+from helpers import random_code, random_multi_code
 
 
 def run(capsys, *argv):
@@ -111,3 +121,170 @@ def test_parity_bracket_command(capsys):
     status, out = run(capsys, "parity-bracket", "--code", "open: O1+ U2- U1+ O2-")
     assert status == 0
     assert "graphical_count: 1" in out
+
+
+def _as_option(code) -> str:
+    return serialize(code).strip().replace("\n", ";")
+
+
+def _pinned(capsys, requests) -> str:
+    outputs = []
+    for request in requests:
+        status = main(["invariants", *request, "--format", "json"])
+        outputs.append([status, capsys.readouterr().out])
+    return hashlib.sha256(json.dumps(outputs).encode()).hexdigest()
+
+
+def _seeded_requests():
+    """30 seeded codes, ten each of one leg, one leg plus a loop and several
+    components, then one code over the crossing limit."""
+    rng = random.Random(6006)
+    codes = [random_code(rng, rng.randint(0, 7)) for _ in range(10)]
+    codes += [random_code(rng, rng.randint(1, 7), loops=1) for _ in range(10)]
+    codes += [random_multi_code(rng, rng.randint(2, 7), empty=i % 4 == 0) for i in range(10)]
+    requests = [["--code", _as_option(code)] for code in codes]
+    return codes, requests + [["--code", _as_option(random_code(rng, 9)), "--state-limit", "8"]]
+
+
+# Digests of the output recorded with the engine that computed the bracket,
+# the height bounds and the virtuality evidence from fresh state sums.
+def test_golden_invariants_on_catalog(capsys):
+    requests = [["--catalog", entry.id] for entry in load_catalog()]
+    digest = _pinned(capsys, requests)
+    assert digest == "05a18540b87088f109bcd8c0e02f3b641fb7fae4e536d366d0efdd3b0e03f067"
+
+
+def test_golden_invariants_on_seeded_codes(capsys):
+    codes, requests = _seeded_requests()
+    assert any(len(c.open_components) > 1 for c in codes)
+    assert any(c.loop_components for c in codes)
+    assert main(["invariants", *requests[-1], "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "LimitExceeded"
+    assert _pinned(capsys, requests) == "2532fc08c9ff42945cc3c1b5c5e6efd1a059fcf8e438b27fbe7ecf63fd066340"
+
+
+def test_invariants_computes_each_state_sum_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    def counted_contract(self, want_words):
+        calls.append(f"contract({want_words})")
+        return contract(self, want_words)
+
+    contract = CompiledCode.contract
+    monkeypatch.setattr(CompiledCode, "contract", counted_contract)
+    monkeypatch.setattr(CompiledCode, "frontier", counted("frontier", CompiledCode.frontier))
+    for module in (knotoids.cli, knotoids.affine, knotoids.closures):
+        monkeypatch.setattr(module, "affine_index", counted("affine_index", module.affine_index))
+    assert main(["invariants", "--catalog", "fig1g", "--format", "json"]) == 0
+    # Arrow, parity bracket and flat parity bracket; the bracket is read off the arrow.
+    assert sorted(calls) == ["affine_index", "contract(True)", "frontier", "frontier", "frontier"]
+
+
+def _error_type(capsys, argv) -> str:
+    status = main(argv)
+    out = capsys.readouterr().out
+    assert status == 1, (argv, out)
+    return json.loads(out)["error"]["type"]
+
+
+def _knotoid_error_names() -> set[str]:
+    names, todo = set(), [KnotoidError]
+    while todo:
+        cls = todo.pop()
+        names.add(cls.__name__)
+        todo.extend(cls.__subclasses__())
+    return names
+
+
+def test_unreadable_file_is_typed(capsys, tmp_path):
+    (tmp_path / "latin1.knotoid").write_bytes("open: O\xe91+ U\xe91+".encode("latin-1"))
+    for path in (tmp_path / "missing.knotoid", tmp_path, tmp_path / "latin1.knotoid"):
+        argv = ["invariants", "--file", str(path), "--format", "json"]
+        assert _error_type(capsys, argv) == "InputFileError"
+    main(["bracket", "--file", str(tmp_path / "missing.knotoid")])
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == (
+        f"cannot read --file {str(tmp_path / 'missing.knotoid')!r}: No such file or directory"
+    )
+
+
+def test_negative_numbers_are_refused_and_zero_is_valid(capsys):
+    walk = ["moves", "walk", "--code", "open: O1+ U1+", "--format", "json"]
+    assert _error_type(capsys, walk + ["--steps", "-3"]) == "BadArgument"
+    assert _error_type(capsys, walk + ["--max", "-5"]) == "BadArgument"
+    assert _error_type(capsys, ["invariants", "--code", "open:", "--state-limit", "-1"]) == (
+        "BadArgument"
+    )
+    assert _error_type(capsys, ["catalog", "verify", "--state-limit", "-1"]) == "BadArgument"
+    main(walk + ["--steps", "-3"])
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == (
+        "--steps must be non-negative, got -3"
+    )
+    assert main(walk + ["--steps", "0", "--max", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["trajectory"] == ["open: O1+ U1+"]
+    assert main(["invariants", "--code", "open:", "--state-limit", "0"]) == 0
+    capsys.readouterr()
+
+
+def test_one_input_source_is_required(capsys):
+    assert _error_type(capsys, ["invariants", "--format", "json"]) == "BadArgument"
+    argv = ["bracket", "--code", "open:", "--catalog", "fig1g", "--format", "json"]
+    assert _error_type(capsys, argv) == "BadArgument"
+
+
+def test_malformed_declared_height_is_typed(capsys):
+    for command in ("invariants", "height-bounds"):
+        argv = [command, "--code", "meta declared_height=1..x;open: O1+ U1+"]
+        assert _error_type(capsys, argv) == "CodeSyntaxError"
+
+
+def _mutated(rng, code) -> str:
+    """The code's text with one token dropped, re-signed, re-roled or garbled."""
+    lines = [line.split() for line in serialize(code).strip().splitlines()]
+    at = [(i, j) for i, line in enumerate(lines) for j in range(1, len(line))]
+    i, j = rng.choice(at)
+    token = lines[i][j]
+    kind = rng.choice(("drop", "sign", "role", "garble"))
+    if kind == "drop":
+        del lines[i][j]
+    elif kind == "sign":
+        lines[i][j] = token[:-1] + {"+": "-", "-": "+"}[token[-1]]
+    elif kind == "role":
+        lines[i][j] = {"O": "U", "U": "O"}[token[0]] + token[1:]
+    else:
+        lines[i][j] = rng.choice(("X", "", "O?")) + token[1:rng.randint(1, len(token))]
+    return ";".join(" ".join(line) for line in lines)
+
+
+def test_seeded_fuzz_of_malformed_input(capsys, tmp_path):
+    names = _knotoid_error_names()
+    commands = ["validate", "invariants", "bracket", "arrow", "affine", "parity-bracket",
+                "odd-writhe", "genus", "closure", "height-bounds"]
+    rng = random.Random(6060)
+    (tmp_path / "binary.knotoid").write_bytes(bytes(rng.randrange(128, 256) for _ in range(16)))
+    for case in range(120):
+        command = ["moves", "walk"] if case % 11 == 0 else [rng.choice(commands)]
+        kind = case % 4
+        options = ["--format", "json"]
+        if kind < 2:
+            code = random_multi_code(rng, rng.randint(1, 6), empty=rng.random() < 0.3)
+            text = _mutated(rng, code)
+            source = ["--code", text]
+            if kind == 1:
+                path = tmp_path / f"case{case}.knotoid"
+                path.write_text(text.replace(";", "\n"))
+                source = ["--file", str(path)]
+        elif kind == 2:
+            source = ["--file", str(rng.choice((tmp_path / "missing", tmp_path,
+                                                 tmp_path / "binary.knotoid")))]
+        else:
+            source = ["--code", _as_option(random_code(rng, rng.randint(0, 4)))]
+            numbers = ["--state-limit"] + (["--steps", "--max"] if command[0] == "moves" else [])
+            options += [rng.choice(numbers), str(-rng.randint(1, 1000))]
+        argv = command + source + options
+        assert _error_type(capsys, argv) in names - {"KnotoidError"}, argv

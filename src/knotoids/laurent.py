@@ -155,14 +155,18 @@ def loop_value() -> LaurentA:
     return LaurentA({2: -1, -2: -1})
 
 
+_D_POWERS = {0: {0: 1}}  # the terms of d**j by j, grown on demand and never mutated
+
+
 def state_sum(counts: dict[tuple[int, int], int]) -> LaurentA:
     """Sum of ``count * A**sigma * d**(components - 1)`` over ``(sigma, components)``."""
-    powers = [LaurentA.one()]  # d**j
     out: dict[int, int] = {}
     for (sigma, comps), count in counts.items():
-        while len(powers) < comps:
-            powers.append(powers[-1] * loop_value())
-        for e, c in powers[comps - 1].terms.items():
+        j = max(comps - 1, 0)  # no component reads as d**0
+        while j not in _D_POWERS:  # threads growing it at once store equal values
+            top = len(_D_POWERS)
+            _D_POWERS[top] = (LaurentA(_D_POWERS[top - 1]) * loop_value()).terms
+        for e, c in _D_POWERS[j].items():
             out[sigma + e] = out.get(sigma + e, 0) + count * c
     return LaurentA(out)
 

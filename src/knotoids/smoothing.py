@@ -14,11 +14,22 @@ terminals of open component ``c`` are the negative sentinels ``-(2c+1)``
 ``CompiledCode.frontier`` is the one state-sum engine: it smooths a set of
 crossings one at a time and merges partial states that pair their open arc
 ends (and, for the arrow, their reduced cusp words) alike, so its cost
-follows the number of distinct pairings rather than 2^n.  The bracket and
-the arrow polynomial smooth every crossing and read the aggregated counts
-through ``contract``; the parity bracket smooths only the even crossings,
-so the ports of the other crossings stay boundary ends to the end, and it
-reads one graph state per final pairing.
+follows the number of distinct pairings rather than 2^n.  A partial state
+is a mate array over the step's boundary positions: slot ``2i`` holds the
+slot of position ``i``'s partner and slot ``2i + 1`` the word read towards
+it, packed as signed bytes, or as 8-byte ints when a slot or a word could
+pass 127.  Each step is planned once, from the ends alone; a state then
+costs an array copy, two joins, a few slot moves and a byte slice.  The
+bracket and the arrow polynomial smooth every crossing and read the
+aggregated counts through ``contract``; the parity bracket smooths only the
+even crossings, so the ports of the other crossings stay boundary ends to
+the end, and it reads one graph state per final pairing.
+
+Reduced cusp words alternate L and R, so an int stands for one: its length,
+negated when the word starts with L; 0 is the empty word.  These are the
+elements of the infinite dihedral group: the reduced product of ``w1`` and
+``w2`` is ``w1 - w2`` when ``w1`` is odd and ``w1 + w2`` otherwise, and a
+word read backwards (each side flips) is negated when it is odd.
 
 The tests' independent references visit the 2^n states one by one:
 ``trace_state`` is the one per-state walk, and ``CompiledCode.scan``,
@@ -226,27 +237,24 @@ class CompiledCode:
         themselves.  The ends of crossings outside ``smooth`` are never
         retired, so they stay on the boundary to the end.
 
-        Yields, per final pairing -- a dict from each boundary end to
-        (partner, word) -- the counts keyed by (sigma, ``fixed`` + closed
-        circles, K indices, L indices).  The index tuples are sorted, list
-        each circle ``K_i`` and segment ``L_i`` finished with cusps, and
-        stay empty when ``want_words`` is false; words are then 0.
-        Pairings are decoded one at a time, so their counts never sit in
-        memory all at once.
+        Yields, per final pairing -- a dict from each boundary end, in
+        increasing order, to (partner, word) -- the counts keyed by (sigma,
+        ``fixed`` + closed circles, K indices, L indices).  The index
+        tuples are sorted, list each circle ``K_i`` and segment ``L_i``
+        finished with cusps, and stay empty when ``want_words`` is false;
+        words are then 0.  Pairings are decoded one at a time, so their
+        counts never sit in memory all at once.  Partial states are mate
+        arrays (see the module docstring) smoothed as ``_plan`` says.
         """
         n = self.n
-        # The frontier maps a packed pairing -- each boundary end's
-        # (partner, word), as signed bytes while every end fits, else as
-        # 8-byte ints -- to counts by inner key, which packs (monomial id,
-        # closed circles, sigma + n) into one int.  The frontier is the
+        # The frontier maps a packed mate array to counts by inner key, an
+        # int packing (monomial id, closed circles, sigma + n).  It is the
         # engine's peak memory and arrow states rarely merge, so keys are
-        # bytes rather than tuples (the interpreter keeps thousands of
-        # freed tuples for reuse), and counts reached from one predecessor
-        # stay a flat [key, count, ...] list, far smaller than a dict.
+        # bytes, not tuples (the interpreter keeps thousands of freed tuples
+        # for reuse), and counts reached from one predecessor stay a flat
+        # [key, count, ...] list, far smaller than a dict.
         stride = 2 * n + 1  # sigma + n runs over 0..2n
         span = stride * (2 * n + 1)  # and closed circles over 0..2n
-        stubs = 2 * max(self.open_comps, default=-1) + 2
-        typecode = "b" if max(2 * self.P, stubs) < 128 else "q"
         monomials: list[tuple[tuple, tuple]] = [((), ())]
         monomial_ids = {((), ()): 0}
         grown: dict[tuple[int, tuple, tuple], int] = {}
@@ -262,43 +270,52 @@ class CompiledCode:
                 grown[step] = monomial_ids[full]
             return grown[step]
 
-        sigma_tab = self.sigma_table()
-        cusp = [1 if s == "R" else -1 for s in self.side_char]
-        done = [False] * n
-        boundary: list[int] = []
+        plans, boundary = self._plan(want_words, smooth)
+        # A reduced word on a pending arc has at most two cusps per crossing,
+        # so slots (and words) fit signed bytes while both stay below 128.
+        typecode = "b" if max([2 * n] + [len(plan[1]) for plan in plans]) < 128 else "q"
         frontier: dict[bytes, list[int] | dict[int, int]] = {b"": [n, 1]}
-        for k in self.contraction_order(smooth):
-            a, b = self.cross_over[k], self.cross_under[k]
-            ia, oa, ib, ob = 2 * a, 2 * a + 1, 2 * b, 2 * b + 1
-            ends = (ia, oa, ib, ob)
-            fresh = {}  # arcs of k that do not yet lead into the smoothed region
-            for e in ends:
-                far = self.arc_end(e)
-                if far < 0 or not done[self.crossing_of(far)]:
-                    fresh[e] = (far, 0)
-                    fresh[far] = (e, 0)
-            done[k] = True
-            new_boundary = sorted(
-                {e for e in boundary if e not in ends} | {e for e in fresh if e not in ends}
-            )
-            # A disoriented site puts one cusp on each of its two joins,
-            # read on the side of passage a when entering through ia or oa.
-            c = cusp[a] if want_words else 0
-            choices = (
-                (sigma_tab[k][0], ((ia, ob, 0), (ib, oa, 0))),
-                (sigma_tab[k][1], ((ia, ib, c), (oa, ob, c))),
-            )
+        for tail, stub, choices, moves, cut in plans:
+            tail = array(typecode, tail).tobytes()
             merged: dict[bytes, list[int] | dict[int, int]] = {}
             while frontier:
                 key, inner = frontier.popitem()
                 pairs = _items(inner)
-                arcs = array(typecode, key)
-                base = dict(zip(boundary, zip(arcs[::2], arcs[1::2])))
-                base.update(fresh)
+                mates = array(typecode, key + tail)
                 for sigma, joins in choices:
-                    new_key, circles, ks, ls = self._smooth(base, joins, new_boundary, typecode)
+                    m = mates[:]
+                    circles, ks, ls = 0, [], []
+                    for x, y, c in joins:
+                        px, py = m[x], m[y]
+                        if px == y:
+                            # Cusps reverse the strand, so a circle's word is even,
+                            # alternating and already cyclically reduced.
+                            circles += 1
+                            wy = m[y + 1]
+                            if w := abs(c - wy if c & 1 else c + wy):
+                                ks.append(w // 2)
+                            continue
+                        w = m[x + 1]  # reversed, then times c, then times wy
+                        w = -w if w & 1 else w
+                        w = w - c if w & 1 else w + c
+                        wy = m[y + 1]
+                        w = w - wy if w & 1 else w + wy
+                        if stub[px] and stub[py]:
+                            m[px], m[py] = px, py
+                            m[px + 1] = m[py + 1] = 0
+                            if w:
+                                ls.append((abs(w) + 1) // 2)
+                        else:
+                            m[px], m[py] = py, px
+                            m[px + 1] = w
+                            m[py + 1] = -w if w & 1 else w
+                    for old, new in moves:  # kept slots beyond the cut fill retired ones
+                        m[m[old]] = new
+                        m[new], m[new + 1] = m[old], m[old + 1]
+                    new_key = m[:cut].tobytes()
                     shift = sigma + circles * stride
                     if ks or ls:
+                        ks, ls = tuple(ks), tuple(ls)
                         moved = [
                             (grow(ikey // span, ks, ls) * span + ikey % span + shift, count)
                             for ikey, count in pairs
@@ -314,62 +331,64 @@ class CompiledCode:
                     for ikey, count in moved:
                         known[ikey] = known.get(ikey, 0) + count
             frontier = merged
-            boundary = new_boundary
         for key, inner in frontier.items():
             counts = {}
             for ikey, count in _items(inner):
                 mono, rest = divmod(ikey, span)
                 circles, sigma = divmod(rest, stride)
                 counts[(sigma - n, fixed + circles, *monomials[mono])] = count
-            arcs = array(typecode, key)
-            yield dict(zip(boundary, zip(arcs[::2], arcs[1::2]))), counts
+            mates = array(typecode, key)
+            ends = zip(boundary, zip([boundary[i >> 1] for i in mates[::2]], mates[1::2]))
+            yield dict(sorted(ends)), counts
 
-    @staticmethod
-    def _smooth(match: dict, joins, boundary: list[int], typecode: str):
-        """Apply one smoothing's two joins to a pairing of boundary ends.
-
-        ``match`` maps each end to (partner, cusp word read from the end
-        to its partner).
-        Returns the new packed pairing, the circles closed, and the K and
-        L indices of the circles and segments finished with cusps.
+    def _plan(self, want_words: bool, smooth):
+        """Per step of ``frontier``, what every state's smoothing reads, and
+        the final boundary.  A step's extended boundary is the old one, then
+        the ends of the arcs the crossing opens.  Its plan: the mate slots
+        (and zero words) of those fresh ends, per-slot stub flags, each
+        choice's sigma and (slot, slot, cusp) joins, the (old, new) slot
+        moves that fill the crossing's retired slots from beyond the cut,
+        and the cut, the new key's slot count.
         """
-        match = dict(match)
-        circles = 0
-        ks: list[int] = []
-        ls: list[int] = []
-        for x, y, c in joins:
-            px, wx = match.pop(x)
-            py, wy = match.pop(y)
-            if px == y:
-                # Every cusp reverses the strand, so a circle keeps an even
-                # number: its word alternates with unequal ends and is
-                # already cyclically reduced.
-                circles += 1
-                m = abs(_concat(c, wy))
-                if m:
-                    ks.append(m // 2)
-                continue
-            w = _concat(_concat(_reverse(wx), c), wy) if wx or c or wy else 0
-            if px < 0 and py < 0:
-                match[px] = (px, 0)
-                match[py] = (py, 0)
-                if w:
-                    ls.append((abs(w) + 1) // 2)
-            else:
-                match[px] = (py, w)
-                match[py] = (px, _reverse(w))
-        packed = array(typecode, chain.from_iterable(map(match.get, boundary)))
-        return packed.tobytes(), circles, tuple(ks), tuple(ls)
+        sigma_tab = self.sigma_table()
+        cusp = [1 if s == "R" else -1 for s in self.side_char]
+        done = [False] * self.n
+        boundary: list[int] = []
+        plans = []
+        for k in self.contraction_order(smooth):
+            a, b = self.cross_over[k], self.cross_under[k]
+            ends = (2 * a, 2 * a + 1, 2 * b, 2 * b + 1)
+            fresh = {}  # arcs of k that do not yet lead into the smoothed region
+            for e in ends:
+                far = self.arc_end(e)
+                if far < 0 or not done[self.crossing_of(far)]:
+                    fresh[e] = far
+                    fresh[far] = e
+            done[k] = True
+            row = boundary + list(fresh)
+            slot = {e: 2 * i for i, e in enumerate(row)}
+            tail = [v for e in fresh for v in (slot[fresh[e]], 0)]
+            stub = bytes(e < 0 for e in row for _ in (0, 1))
+            ia, oa, ib, ob = (slot[e] for e in ends)
+            # A disoriented site puts one cusp on each of its two joins,
+            # read on the side of passage a when entering through ia or oa.
+            c = cusp[a] if want_words else 0
+            choices = (
+                (sigma_tab[k][0], ((ia, ob, 0), (ib, oa, 0))),
+                (sigma_tab[k][1], ((ia, ib, c), (oa, ob, c))),
+            )
+            cut = 2 * (len(row) - 4)
+            holes = sorted(slot[e] for e in ends if slot[e] < cut)
+            kept = [i for i in range(cut, 2 * len(row), 2) if row[i >> 1] not in ends]
+            for old, new in zip(kept, holes):
+                row[new >> 1] = row[old >> 1]
+            plans.append((tail, stub, choices, list(zip(kept, holes)), cut))
+            boundary = row[: cut >> 1]
+        return plans, boundary
 
     def sigma_table(self) -> list[tuple[int, int]]:
         """Per crossing (oriented, disoriented) contributions to #A - #B."""
-        table = []
-        for k in range(self.n):
-            if self.cross_sign[k] > 0:
-                table.append((1, -1))
-            else:
-                table.append((-1, 1))
-        return table
+        return [(1, -1) if sign > 0 else (-1, 1) for sign in self.cross_sign]
 
 
 @dataclass(frozen=True)
@@ -392,9 +411,6 @@ class StateResolution:
     @property
     def count(self) -> int:
         return len(self.components)
-
-    def segments(self) -> tuple[StateComponent, ...]:
-        return tuple(c for c in self.components if c.kind == SEGMENT)
 
 
 @dataclass(frozen=True)
@@ -520,28 +536,3 @@ def _cyclic_reduce(word: str) -> str:
 def _items(inner):
     """The (inner key, count) pairs of a frontier value: a dict or a flat list."""
     return inner.items() if type(inner) is dict else list(zip(inner[::2], inner[1::2]))
-
-
-# Reduced cusp words alternate L and R, so an int stands for one: its
-# length, negated when the word starts with L; 0 is the empty word.
-
-
-def _reverse(w: int) -> int:
-    """Read backwards (each side flips): the first side flips iff the length is odd."""
-    return -w if w & 1 else w
-
-
-def _concat(w1: int, w2: int) -> int:
-    """Reduced product: equal touching sides cancel pairwise, min(m1, m2) times."""
-    if not w1 or not w2:
-        return w1 or w2
-    m1, m2 = abs(w1), abs(w2)
-    last1 = w1 if m1 & 1 else -w1  # sign of w1's last letter
-    if (last1 > 0) != (w2 > 0):
-        return m1 + m2 if w1 > 0 else -(m1 + m2)
-    if m1 > m2:
-        return m1 - m2 if w1 > 0 else m2 - m1
-    if m2 > m1:
-        first = w2 if m1 % 2 == 0 else -w2  # sign of w2's first surviving letter
-        return m2 - m1 if first > 0 else m1 - m2
-    return 0

@@ -4,6 +4,7 @@ import knotoids.catalog
 import knotoids.closures
 from knotoids.catalog import catalog_entry, load_catalog, verify_entry
 from knotoids.codes import serialize, spiral
+from knotoids.smoothing import CompiledCode
 
 REQUIRED = {
     "trivial", "kink", "fig1g", "fig1f", "fig15_k1", "fig17_k1", "fig17_k2",
@@ -52,6 +53,8 @@ def test_every_unquarantined_entry_verifies():
 def test_verify_computes_each_state_sum_once(monkeypatch):
     # fig1g expects arrow, k_degree, lambda_degree and height_lower, which all
     # read one arrow polynomial, and affine, affine_max_degree and height_lower.
+    # fig15_k1, kink and trivial also expect the bracket, which is the arrow's
+    # coefficient sum, so no bracket state sum (contract(False)) runs.
     calls = []
 
     def counted(name, original):
@@ -66,6 +69,15 @@ def test_verify_computes_each_state_sum_once(monkeypatch):
     report = verify_entry(catalog_entry("fig1g"))
     assert report.ok
     assert sorted(calls) == ["affine_index", "arrow_polynomial"]
+
+    contract = CompiledCode.contract
+    monkeypatch.setattr(
+        CompiledCode, "contract", lambda self, words: calls.append(words) or contract(self, words)
+    )
+    for entry_id in ("fig15_k1", "kink", "trivial"):
+        calls.clear()
+        assert verify_entry(catalog_entry(entry_id)).ok, entry_id
+        assert calls.count(False) == 0 and calls.count(True) == 1, (entry_id, calls)
 
 
 def test_quarantined_entry_documents_discrepancy():

@@ -1,11 +1,14 @@
 """The frontier-contraction engine against the Gray-code scan and the oracle."""
 
+import hashlib
+import json
 import random
 
+from knotoids.arrow import arrow_polynomial
 from knotoids.bracket import bracket, bracket_oracle
 from knotoids.catalog import load_catalog
 from knotoids.closures import virtual_closure
-from knotoids.codes import OPEN, ComponentCode, KnotoidCode, spiral
+from knotoids.codes import OPEN, ComponentCode, KnotoidCode, parse, spiral
 from knotoids.smoothing import CompiledCode
 from helpers import random_code, random_multi_code
 
@@ -94,9 +97,44 @@ def test_contraction_order_is_a_permutation():
 
 
 def test_wide_packing_with_many_components():
-    # The leg's stubs, numbered beyond a signed byte, need 8-byte packing.
+    # The leg's stub ids lie beyond a signed byte; they must still decode
+    # to the right ends.
     rng = random.Random(48)
     for _ in range(5):
         code = random_code(rng, rng.randint(1, 6))
         padded = KnotoidCode((ComponentCode(OPEN, ()),) * 64 + code.components)
         assert_same_counts(padded)
+
+
+# sha256 of json.dumps([bracket terms, arrow terms], sort_keys=True), pinned
+# with the engine that kept each partial state as a dict keyed by end.
+WIDE_DIGESTS = {
+    "spiral 40+": "373e2202c4286e170a0a2d757df60325c06759debd5f31a2bff0061b191ac939",
+    "spiral 40": "ce3d2b023d6cc14a6d867669667b036dc7bd616c914ec43ed42f6bcf1ef3552c",
+    "spiral 48+": "9c9d59370108e21efab4e8f22230212c7a44aafe1478129c38743dfc7eac9aac",
+    "spiral 48": "9ea08af894ef2cfac888eb35c6d21c6310d434d1cd6ccd181a2b2ee9cdb75a88",
+    "spiral 64+": "2c4cb7e23273242764eb4bd3b6d1a121f4177d5ea17347ea97696200e66141ea",
+    "spiral 64": "8901f98d0ab3688306b4a6b859f6972baf6b1f9b79e5c534715c3fc0addc1568",
+    "spiral 132+": "5d1e865fdcacdf4d7e8d6a39d4c8c29797657d6c721e018c9d376bcca915af3e",
+    "legs": "702e67c4193b901e1621cd93cb63c22377053bc2c45b3591bdffa34e04888f5c",
+}
+
+
+def wide_codes():
+    rng = random.Random(49)
+    for k in (20, 24, 32):
+        yield f"spiral {2 * k}+", spiral(k, "+" * (2 * k))
+        yield f"spiral {2 * k}", spiral(k, "".join(rng.choice("+-") for _ in range(2 * k)))
+    # Its segments end with L_66, so pending arcs carry cusp words past 127.
+    yield "spiral 132+", spiral(66, "+" * 132)
+    # 140 stubs on the boundary, so mate slots run past 255.
+    yield "legs", parse("\n".join(f"open: O{i}- U{i}-" for i in range(70)))
+
+
+def test_wide_codes_above_the_state_limit():
+    for name, code in wide_codes():
+        n = CompiledCode(code).n
+        assert n >= 40
+        values = [bracket(code, n).to_json(), arrow_polynomial(code, n).to_json()]
+        digest = hashlib.sha256(json.dumps(values, sort_keys=True).encode()).hexdigest()
+        assert digest == WIDE_DIGESTS[name], name

@@ -106,19 +106,13 @@ def compute_invariant(
     code: KnotoidCode, key: str, state_limit: int = 24, memo: dict | None = None
 ) -> str:
     """Render the named invariant of ``code`` in the catalog's exact format;
-    ``memo`` (one dict per code) keeps each underlying value for later keys,
-    and with ``memo["arrow_wanted"]`` the bracket is the arrow's coefficient sum."""
+    ``memo`` (one dict per code) keeps each underlying value for later keys."""
     memo = {} if memo is None else memo
 
     def once(fn, *args):
         if fn not in memo:
             memo[fn] = fn(code, *args)
         return memo[fn]
-
-    def raw_bracket():
-        if memo.get("arrow_wanted"):
-            return once(arrow_polynomial, state_limit).coefficient_sum()
-        return once(bracket, state_limit)
 
     if key == "writhe":
         return str(writhe(code))
@@ -133,9 +127,9 @@ def compute_invariant(
     if key == "evenly_intersticed":
         return "true" if evenly_intersticed(code) else "false"
     if key == "bracket":
-        return raw_bracket().render()
+        return once(bracket, state_limit).render()
     if key == "normalized_bracket":
-        return writhe_normalize(raw_bracket(), writhe(code)).render()
+        return writhe_normalize(once(bracket, state_limit), writhe(code)).render()
     if key == "affine":
         return once(affine_index).render()
     if key == "affine_max_degree":
@@ -161,9 +155,13 @@ def compute_invariant(
     if key == "parity_graphical_count":
         return str(len(once(parity_bracket, state_limit).graphical))
     if key == "parity_graphical_unit":
-        graphical = once(parity_bracket, state_limit).graphical
-        unit = len(graphical) == 1 and all(v == LaurentA.one() for v in graphical.values())
-        return "true" if unit else "false"
+        value = once(parity_bracket, state_limit)
+        return (
+            "true"
+            if len(value.graphical) == 1
+            and all(v == LaurentA.one() for v in value.graphical.values())
+            else "false"
+        )
     if key == "normalized_parity_plain":
         return normalize_parity(once(parity_bracket, state_limit), writhe(code)).plain.render()
     if key == "flat_parity_trivial":
@@ -173,7 +171,10 @@ def compute_invariant(
 
 def verify_entry(entry: CatalogEntry, state_limit: int = 24) -> VerificationReport:
     """Recompute every expected invariant of one entry and compare exactly."""
-    items, memo = [], {"arrow_wanted": bool(entry.expected.keys() & ARROW_KEYS)}
+    items, memo = [], {}
+    if entry.expected.keys() & ARROW_KEYS:  # the bracket is the arrow's coefficient sum
+        arrow = memo[arrow_polynomial] = arrow_polynomial(entry.code, state_limit)
+        memo[bracket] = arrow.coefficient_sum()
     for key in sorted(entry.expected):
         computed = compute_invariant(entry.code, key, state_limit, memo)
         items.append(VerificationItem(key, entry.expected[key], computed))

@@ -7,6 +7,7 @@ coefficients are never stored: the empty term map is the zero polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 
 class Laurent:
@@ -155,19 +156,15 @@ def loop_value() -> LaurentA:
     return LaurentA({2: -1, -2: -1})
 
 
-_D_POWERS = {0: {0: 1}}  # the terms of d**j by j, grown on demand and never mutated
-
-
 def state_sum(counts: dict[tuple[int, int], int]) -> LaurentA:
     """Sum of ``count * A**sigma * d**(components - 1)`` over ``(sigma, components)``."""
     out: dict[int, int] = {}
     for (sigma, comps), count in counts.items():
         j = max(comps - 1, 0)  # no component reads as d**0
-        while j not in _D_POWERS:  # threads growing it at once store equal values
-            top = len(_D_POWERS)
-            _D_POWERS[top] = (LaurentA(_D_POWERS[top - 1]) * loop_value()).terms
-        for e, c in _D_POWERS[j].items():
-            out[sigma + e] = out.get(sigma + e, 0) + count * c
+        signed = -count if j & 1 else count  # d**j = (-1)**j * sum of C(j, i) A**(2j - 4i)
+        for i in range(j + 1):
+            e = sigma + 2 * j - 4 * i
+            out[e] = out.get(e, 0) + comb(j, i) * signed
     return LaurentA(out)
 
 

@@ -388,7 +388,13 @@ class CompiledCode:
 
     def sigma_table(self) -> list[tuple[int, int]]:
         """Per crossing (oriented, disoriented) contributions to #A - #B."""
-        return [(1, -1) if sign > 0 else (-1, 1) for sign in self.cross_sign]
+        table = []
+        for k in range(self.n):
+            if self.cross_sign[k] > 0:
+                table.append((1, -1))
+            else:
+                table.append((-1, 1))
+        return table
 
 
 @dataclass(frozen=True)

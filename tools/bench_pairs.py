@@ -12,9 +12,8 @@ Both directories are checkouts of the repository (for example made with
 once in each checkout, the parent first when ``i`` is even and the change
 first when it is odd, with ``PYTHONDONTWRITEBYTECODE=1`` so that every
 set-up compiles the sources.  Only the benchmark's printed result is read;
-nothing under ``perfbench/`` is changed.  Every finished run is appended to
-``<out>.runs.jsonl``, and ``--resume`` skips the runs already listed there,
-so an interrupted series can be continued.  The summary holds, per
+nothing under ``perfbench/`` is changed.  Every finished run is written to
+``<out>.runs.jsonl`` as it ends.  The summary holds, per
 end-to-end metric, the quartiles of each side
 (``statistics.quantiles(n=4, method='inclusive')``), the pairs the change
 won, and ``change_worse_by``: the relative gap of the medians, positive
@@ -32,6 +31,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+SECONDS = 20  # the benchmark's run length, the same on both sides
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -43,10 +43,10 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(root: Path, workload: str, seed: int) -> dict:
     """One benchmark run; its result line, details line, or the failure."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -138,31 +138,23 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True)
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--parent-commit", default=None)
     parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC the change claims to improve")
     parser.add_argument("--target", default="win at least 9 of 10 pairs, median gap larger than the parent's IQR")
     parser.add_argument("--note", action="append", default=[], help="KEY=TEXT, added to the summary")
-    parser.add_argument("--resume", action="store_true")
     args = parser.parse_args(argv)
 
     log = args.out.with_name(args.out.name + ".runs.jsonl")
+    log.write_text("")
     records = []
-    if args.resume and log.exists():
-        records = [json.loads(line) for line in log.read_text().splitlines() if line]
-    elif log.exists():
-        log.unlink()
-    done = {(r["workload"], r["pair"], r["side"]) for r in records}
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for workload in args.workloads:
         for pair, seed in enumerate(args.seeds):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for side in order:
-                if (workload, pair, side) in done:
-                    continue
                 record = {"workload": workload, "pair": pair, "seed": seed, "side": side}
-                record |= run_once(roots[side], workload, seed, args.seconds)
+                record |= run_once(roots[side], workload, seed)
                 records.append(record)
                 with log.open("a") as fh:
                     fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -173,7 +165,7 @@ def main(argv=None) -> int:
     machine = next((r["detail"]["machine"] for r in records if "detail" in r), {})
     summary = {
         "what": "perfbench end-to-end metrics, parent commit vs this change, alternating pairs",
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
         "parent_commit": args.parent_commit,
         "pairs_per_workload": len(args.seeds),
         "order": "pair i runs the parent first when i is even, the change first when i is odd",

@@ -3,10 +3,13 @@
 Odd crossings (and link crossings of multi-knotoids) become rigid 4-valent
 nodes carrying the cyclic rotation inherited from the crossing.  Node pairs
 bounding a reducible bigon are spliced away; whatever graph survives is a
-polynomial coefficient, compared up to relabeling via a traversal canonical
-form.  A state contributes A^(n(S)) d^(components-1), counting surviving
-graphs, plain circles and the long segment alike, so that all-even inputs
-reproduce the ordinary bracket exactly.
+polynomial coefficient, keyed up to relabeling by a traversal canonical
+form, the least string trace over the admissible starts.  Traces are
+followed as small ints ranked to order as their strings do, each is cut
+short once it passes the best so far, and only the winner is rendered to
+its string.  A state contributes A^(n(S)) d^(components-1), counting
+surviving graphs, plain circles and the long segment alike, so that
+all-even inputs reproduce the ordinary bracket exactly.
 
 The state sum is a projection of ``CompiledCode.frontier``: only the even
 crossings are smoothed, so the four ports of every node stay boundary
@@ -311,139 +314,116 @@ def canonical_graph(state: GraphState) -> list[str]:
     Nodes are numbered by first visit along a strand-following traversal;
     each visit records the entry slot relative to the node's first-seen
     slot, so the encoding is invariant under relabeling and rotation of
-    loop starts.  The lexicographic minimum over admissible starting
-    terminals (stubs when present, otherwise every directed port) makes it
-    deterministic.  A trace is abandoned as soon as its prefix exceeds the
-    best trace so far, which leaves the minimum unchanged.
+    loop starts.  A trace is a comma-joined token list: ``T`` or ``S``
+    opens a strand at a stub or a port, ``id.offset`` is a visit, and
+    ``E`` or ``C`` ends the strand at a stub or back at its start.  The
+    lexicographic minimum over admissible starting terminals (stubs when
+    present, otherwise every directed port) makes it deterministic.
+
+    Traces run on small ints that order as their strings do: a visit is
+    ``4 * rank + offset``, where ``rank`` orders the ids by their decimal
+    strings (``"10.0" < "2.0"``), and the letters ``C < E < S < T`` rank
+    above every visit.  No token string is a prefix of another, so int
+    lists compare as the joined strings.  A trace is cut short once it is
+    greater than the best trace so far, which leaves the minimum
+    unchanged, and only each component's winner is rendered to a string.
     """
-    port_lookup = state.port_node()
-    if not state.rotations:
+    rotations, partner = state.rotations, state.partner
+    if not rotations:
         return []
-    # Split nodes into connected components via edges.
-    parent: dict[int, int] = {k: k for k in state.rotations}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    stub_of: dict[int, list[int]] = {k: [] for k in state.rotations}
-    for port, (node, _slot) in port_lookup.items():
-        q = state.partner[port]
-        if q in port_lookup:
-            union(node, port_lookup[q][0])
-    for port, (node, _slot) in port_lookup.items():
-        q = state.partner[port]
-        if q < 0:
-            stub_of[node].append(q)
-    groups: dict[int, list[int]] = {}
-    for k in state.rotations:
-        groups.setdefault(find(k), []).append(k)
-
+    port_lookup = state.port_node()
+    by_string = sorted(range(len(rotations)), key=str)
+    ranks = [0] * len(by_string)
+    for rank, node_id in enumerate(by_string):
+        ranks[node_id] = 4 * rank
+    top = 4 * len(by_string)
     encodings = []
-    for members in groups.values():
-        member_set = set(members)
-        starts: list[int] = []
-        for k in members:
-            for q in stub_of[k]:
-                starts.append(q)
-        if not starts:
-            starts = [port for k in members for port in state.rotations[k]]
-        best = None
-        for start in starts:
-            try:
-                best = _trace_component(state, port_lookup, member_set, start, best)
-            except _Exceeds:
-                pass
-        encodings.append(best)
+    # In a component, local port 4 * i + slot is port ``slot`` of its i-th
+    # node in search order; ``succ`` maps a local port to the one entered
+    # after leaving by it, or to -1 at a stub.
+    local: dict[int, int] = {}
+    for root in rotations:
+        if root in local:
+            continue
+        local[root] = 0
+        members = [root]
+        succ: list[int] = []
+        for node in members:
+            for port in rotations[node]:
+                q = partner[port]
+                if q < 0:
+                    succ.append(-1)
+                    continue
+                far, slot = port_lookup[q]
+                if far not in local:
+                    local[far] = 4 * len(members)
+                    members.append(far)
+                succ.append(local[far] + slot)
+        starts = [~p for p, q in enumerate(succ) if q < 0] or range(len(succ))
+        best = list(_trace(succ, ranks, top, starts[0]))
+        for start in starts[1:]:
+            best = _least(_trace(succ, ranks, top, start), best)
+        encodings.append(",".join(
+            f"{by_string[tok >> 2]}.{tok & 3}" if tok < top else "CEST"[tok - top]
+            for tok in best
+        ))
     return sorted(encodings)
 
 
-class _Exceeds(Exception):
-    """A trace's prefix is already greater than the best trace."""
+def _trace(succ, ranks, top, start):
+    """Yield the int tokens of one component's trace from ``start``.
 
-
-def _trace_component(state, port_lookup, member_set, start, best=None) -> str:
-    """The trace of one component from ``start``, as comma-joined tokens.
-
-    With ``best`` given, raises ``_Exceeds`` once the prefix traced so far
-    is greater than ``best``; a trace that completes is at most ``best``.
+    ``start`` is a local port to leave by, or ``~p`` to enter ``p`` from
+    its stub.  Later strands leave by the first unused port of the visited
+    nodes, taken in visit order and counterclockwise from the entry slot.
     """
-    rotations = state.rotations
-    partner = state.partner
-    node_id: dict[int, int] = {}
-    ref_slot: dict[int, int] = {}
-    used_entries: set[int] = set()
-    pieces: list[str] = []
-    pending: list[int] = []  # candidate ports for later strand starts
-    matched = 0 if best is not None else -1  # chars equal to best; -1 once below it
-
-    def emit(token: str) -> None:
-        nonlocal matched
-        piece = "," + token if pieces else token
-        pieces.append(piece)
-        if matched >= 0:
-            ref = best[matched:matched + len(piece)]
-            if piece > ref:
-                raise _Exceeds
-            matched = matched + len(piece) if piece == ref else -1
-
-    def enter(port) -> int | None:
-        """Record a visit entering at ``port``; return the exit port."""
-        node, slot = port_lookup[port]
-        if node not in node_id:
-            node_id[node] = len(node_id)
-            ref_slot[node] = slot
-            for extra in range(4):
-                pending.append(rotations[node][(slot + extra) % 4])
-        offset = (slot - ref_slot[node]) % 4
-        emit(f"{node_id[node]}.{offset}")
-        used_entries.add(port)
-        return rotations[node][(slot + 2) % 4]
-
-    def run_strand(first_terminal) -> None:
-        # first_terminal: a port we exit through, or a stub we start from.
-        if first_terminal < 0:
-            emit("T")
-            q = partner[first_terminal]
-            while q >= 0:
-                exit_port = enter(q)
-                used_entries.add(exit_port)
-                q = partner[exit_port]
-            emit("E")
-            return
-        emit("S")
-        start_port = first_terminal
-        used_entries.add(start_port)
-        q = partner[start_port]
-        while True:
-            if q < 0:
-                emit("E")
-                return
-            exit_port = enter(q)
-            if exit_port == start_port:
-                emit("C")
-                return
-            used_entries.add(exit_port)
-            q = partner[exit_port]
-
-    run_strand(start)
+    rank = [-1] * (len(succ) >> 2)  # 4 * rank of a visited node's id
+    ref = [0] * len(rank)  # the port it was first entered by
+    used = bytearray(len(succ))
+    pending: list[int] = []
+    candidates = iter(pending)  # resumes where it stopped; sees appends
+    ids = 0
+    x = start
     while True:
-        nxt = None
-        for cand in pending:
-            if cand not in used_entries:
-                nxt = cand
+        if x < 0:
+            yield top + 3  # T
+            q = ~x
+        else:
+            yield top + 2  # S
+            used[x] = 1
+            q = succ[x]
+        while q >= 0:
+            node = q >> 2
+            if rank[node] < 0:
+                rank[node], ref[node] = ranks[ids], q
+                ids += 1
+                pending += q, q & ~3 | (q + 1) & 3, q ^ 2, q & ~3 | (q + 3) & 3
+            yield rank[node] + ((q - ref[node]) & 3)
+            used[q] = 1
+            q ^= 2  # the opposite slot
+            if q == x:
                 break
-        if nxt is None:
-            break
-        run_strand(nxt)
-    return "".join(pieces)
+            used[q] = 1
+            q = succ[q]
+        yield top if q >= 0 else top + 1  # C or E
+        for x in candidates:
+            if not used[x]:
+                break
+        else:
+            return
+
+
+def _least(tokens, best: list[int]) -> list[int]:
+    """The lesser of the trace ``tokens`` and ``best``, reading no token past
+    the first one that differs from ``best``."""
+    i = 0
+    for b, tok in zip(best, tokens):
+        if tok != b:
+            return [*best[:i], tok, *tokens] if tok < b else best
+        i += 1
+    # One ran out, and a prefix is the lesser: a trace that ties all of
+    # ``best`` and goes on is greater.
+    return best[:i]
 
 
 def parity_states(

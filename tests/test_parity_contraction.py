@@ -3,8 +3,8 @@
 ``parity_bracket`` reads one graph state per distinct final pairing of the
 frontier engine; the reference here builds, reduces and canonicalizes
 every one of the 2^e states from ``parity_states``, as the bracket's
-definition reads.  ``canonical_graph``'s cut-short traces are checked
-against a plain minimum over full traces.
+definition reads.  ``canonical_graph``'s cut-short int traces are checked
+against the plain minimum of full string traces from ``trace_component``.
 """
 
 import random
@@ -28,7 +28,6 @@ from knotoids.parity_bracket import (
     FlatParityValue,
     ParityBracketValue,
     _close_stub_paths,
-    _trace_component,
     canonical_graph,
     flat_parity_bracket,
     parity_bracket,
@@ -148,8 +147,70 @@ def test_catalog_entries():
         assert_matches(entry.code)
 
 
+def trace_component(state, port_lookup, start) -> str:
+    """The full trace of one component from ``start``, as comma-joined tokens.
+
+    ``start`` is a stub or a port to leave by.  Nodes get ids by first
+    visit and each visit is written ``id.offset``, the entry slot counted
+    from the node's first entry slot; ``T`` or ``S`` opens a strand, ``E``
+    or ``C`` closes it at a stub or at its start.  Later strands leave by
+    the first unused port of the visited nodes, in visit order and
+    counterclockwise from the entry slot.
+    """
+    rotations = state.rotations
+    partner = state.partner
+    node_id: dict[int, int] = {}
+    ref_slot: dict[int, int] = {}
+    used_entries: set[int] = set()
+    tokens: list[str] = []
+    pending: list[int] = []
+
+    def enter(port) -> int:
+        """Record a visit entering at ``port``; return the exit port."""
+        node, slot = port_lookup[port]
+        if node not in node_id:
+            node_id[node] = len(node_id)
+            ref_slot[node] = slot
+            for extra in range(4):
+                pending.append(rotations[node][(slot + extra) % 4])
+        tokens.append(f"{node_id[node]}.{(slot - ref_slot[node]) % 4}")
+        used_entries.add(port)
+        return rotations[node][(slot + 2) % 4]
+
+    def run_strand(first_terminal) -> None:
+        if first_terminal < 0:
+            tokens.append("T")
+            q = partner[first_terminal]
+            while q >= 0:
+                exit_port = enter(q)
+                used_entries.add(exit_port)
+                q = partner[exit_port]
+            tokens.append("E")
+            return
+        tokens.append("S")
+        used_entries.add(first_terminal)
+        q = partner[first_terminal]
+        while True:
+            if q < 0:
+                tokens.append("E")
+                return
+            exit_port = enter(q)
+            if exit_port == first_terminal:
+                tokens.append("C")
+                return
+            used_entries.add(exit_port)
+            q = partner[exit_port]
+
+    run_strand(start)
+    while True:
+        nxt = next((cand for cand in pending if cand not in used_entries), None)
+        if nxt is None:
+            return ",".join(tokens)
+        run_strand(nxt)
+
+
 def plain_canonical(state) -> list[str]:
-    """Per node component, the minimum of its full traces, sorted."""
+    """Per node component, the minimum of its full string traces, sorted."""
     lookup = state.port_node()
     groups: list[set[int]] = []
     for node in state.rotations:
@@ -166,7 +227,7 @@ def plain_canonical(state) -> list[str]:
     for members in groups:
         ports = [port for k in members for port in state.rotations[k]]
         starts = [state.partner[p] for p in ports if state.partner[p] < 0] or ports
-        encodings.append(min(_trace_component(state, lookup, members, s) for s in starts))
+        encodings.append(min(trace_component(state, lookup, s) for s in starts))
     return sorted(encodings)
 
 
@@ -198,3 +259,27 @@ def test_even_crossing_limit_is_checked_before_any_work(monkeypatch):
     monkeypatch.undo()
     # Only even crossings count: two odd ones pass a limit of zero.
     assert parity_bracket(parse("open: O1+ U2- U1+ O2-"), state_limit=0).graphical
+
+
+def test_canonical_graph_orders_two_digit_ids_as_strings():
+    """Components of 11 or more nodes give some node the id 10, and the key
+    strings order ``"10.0"`` before ``"2.0"``, unlike the numbers."""
+    rng = random.Random(77)
+    two_digit = 0
+    for _ in range(40):
+        n = rng.randint(16, 20)
+        even = rng.choice([e for e in (6, 7, 8) if (n - e) % 2 == 0])
+        code = random_code(rng, n)
+        while sum(info.parity == "even" for info in classify_crossings(code)) != even:
+            code = random_code(rng, n)
+        for state in parity_states(code):
+            state = reduce_graph(state)
+            for closed in (False, True):
+                if closed:
+                    _close_stub_paths(state)
+                    state = reduce_graph(state)
+                if len(state.rotations) >= 11:
+                    keys = canonical_graph(state)
+                    assert keys == plain_canonical(state), code
+                    two_digit += any(t.startswith("10.") for k in keys for t in k.split(","))
+    assert two_digit >= 1000

@@ -12,18 +12,19 @@ discrepancy).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 from .codes import KnotoidCode, classify_crossings, evenly_intersticed, parse
 from .affine import affine_index
 from .arrow import arrow_polynomial
-from .bracket import bracket, writhe
+from .bracket import writhe
 from .closures import HeightBound, carter_genus, check_height_shape, declared_height_interval
 from .errors import UnknownEntry
 from .laurent import LaurentA, writhe_normalize
 from .parity import odd_writhe
-from .parity_bracket import flat_parity_bracket, normalize_parity, parity_bracket
-from .codes import flat_projection
+from .parity_bracket import FlatParityValue, normalize_parity, parity_bracket
+from .smoothing import DEFAULT_STATE_LIMIT
 
 
 @dataclass(frozen=True)
@@ -99,27 +100,48 @@ def catalog_entry(entry_id: str) -> CatalogEntry:
     raise UnknownEntry(f"no catalog entry {entry_id!r}")
 
 
-ARROW_KEYS = {"arrow", "normalized_arrow", "k_degree", "lambda_degree", "height_lower"}
+@dataclass
+class Invariants:
+    """The invariants of one diagram, each computed on first use.
+
+    At most one arrow polynomial, one parity bracket and one affine index
+    are computed.  The bracket is the arrow's coefficient sum, and the flat
+    parity bracket is the parity bracket at A = -1.
+    """
+
+    code: KnotoidCode
+    state_limit: int = DEFAULT_STATE_LIMIT
+
+    @cached_property
+    def arrow(self):
+        return arrow_polynomial(self.code, self.state_limit)
+
+    @cached_property
+    def bracket(self):
+        return self.arrow.coefficient_sum()
+
+    @cached_property
+    def parity(self):
+        return parity_bracket(self.code, self.state_limit)
+
+    @cached_property
+    def flat_parity(self):
+        return FlatParityValue.of(self.parity)
+
+    @cached_property
+    def affine(self):
+        return affine_index(self.code)
 
 
-def compute_invariant(
-    code: KnotoidCode, key: str, state_limit: int = 24, memo: dict | None = None
-) -> str:
-    """Render the named invariant of ``code`` in the catalog's exact format;
-    ``memo`` (one dict per code) keeps each underlying value for later keys."""
-    memo = {} if memo is None else memo
-
-    def once(fn, *args):
-        if fn not in memo:
-            memo[fn] = fn(code, *args)
-        return memo[fn]
-
+def compute_invariant(values: Invariants, key: str) -> str:
+    """Render the named invariant in the catalog's exact format."""
+    code = values.code
     if key == "writhe":
         return str(writhe(code))
     if key == "odd_writhe":
-        return str(once(odd_writhe).value)
+        return str(odd_writhe(code).value)
     if key == "odd_set":
-        return ",".join(sorted(once(odd_writhe).odd_crossings))
+        return ",".join(sorted(odd_writhe(code).odd_crossings))
     if key in ("parity_even", "parity_link"):
         wanted = "even" if key == "parity_even" else "link"
         labels = [i.label for i in classify_crossings(code) if i.parity == wanted]
@@ -127,55 +149,53 @@ def compute_invariant(
     if key == "evenly_intersticed":
         return "true" if evenly_intersticed(code) else "false"
     if key == "bracket":
-        return once(bracket, state_limit).render()
+        return values.bracket.render()
     if key == "normalized_bracket":
-        return writhe_normalize(once(bracket, state_limit), writhe(code)).render()
+        return writhe_normalize(values.bracket, writhe(code)).render()
     if key == "affine":
-        return once(affine_index).render()
+        return values.affine.render()
     if key == "affine_max_degree":
-        return str(once(affine_index).max_degree())
+        return str(values.affine.max_degree())
     if key == "affine_symmetric":
-        return "true" if once(affine_index).is_symmetric() else "false"
+        return "true" if values.affine.is_symmetric() else "false"
     if key == "arrow":
-        return once(arrow_polynomial, state_limit).render()
+        return values.arrow.render()
     if key == "normalized_arrow":
-        return writhe_normalize(once(arrow_polynomial, state_limit), writhe(code)).render()
+        return writhe_normalize(values.arrow, writhe(code)).render()
     if key == "k_degree":
-        return str(once(arrow_polynomial, state_limit).k_degree())
+        return str(values.arrow.k_degree())
     if key == "lambda_degree":
-        return str(once(arrow_polynomial, state_limit).lambda_degree())
+        return str(values.arrow.lambda_degree())
     if key == "genus":
         return str(carter_genus(code))
     if key == "height_lower":
         check_height_shape(code)
-        affine, arrow = once(affine_index), once(arrow_polynomial, state_limit)
-        return str(HeightBound.of(code, affine, arrow).lower)
+        return str(HeightBound.of(code, values.affine, values.arrow).lower)
     if key == "parity_plain":
-        return once(parity_bracket, state_limit).plain.render()
+        return values.parity.plain.render()
     if key == "parity_graphical_count":
-        return str(len(once(parity_bracket, state_limit).graphical))
+        return str(len(values.parity.graphical))
     if key == "parity_graphical_unit":
-        value = once(parity_bracket, state_limit)
+        graphical = values.parity.graphical
         return (
             "true"
-            if len(value.graphical) == 1
-            and all(v == LaurentA.one() for v in value.graphical.values())
+            if len(graphical) == 1 and all(v == LaurentA.one() for v in graphical.values())
             else "false"
         )
     if key == "normalized_parity_plain":
-        return normalize_parity(once(parity_bracket, state_limit), writhe(code)).plain.render()
+        return normalize_parity(values.parity, writhe(code)).plain.render()
     if key == "flat_parity_trivial":
-        return "true" if flat_parity_bracket(flat_projection(code), state_limit).is_trivial() else "false"
+        return "true" if values.flat_parity.is_trivial() else "false"
     raise KeyError(f"unknown invariant key {key!r}")
 
 
-def verify_entry(entry: CatalogEntry, state_limit: int = 24) -> VerificationReport:
+def verify_entry(
+    entry: CatalogEntry, state_limit: int = DEFAULT_STATE_LIMIT
+) -> VerificationReport:
     """Recompute every expected invariant of one entry and compare exactly."""
-    items, memo = [], {}
-    if entry.expected.keys() & ARROW_KEYS:  # the bracket is the arrow's coefficient sum
-        arrow = memo[arrow_polynomial] = arrow_polynomial(entry.code, state_limit)
-        memo[bracket] = arrow.coefficient_sum()
-    for key in sorted(entry.expected):
-        computed = compute_invariant(entry.code, key, state_limit, memo)
-        items.append(VerificationItem(key, entry.expected[key], computed))
-    return VerificationReport(entry.id, entry.quarantined, tuple(items))
+    values = Invariants(entry.code, state_limit)
+    items = tuple(
+        VerificationItem(key, entry.expected[key], compute_invariant(values, key))
+        for key in sorted(entry.expected)
+    )
+    return VerificationReport(entry.id, entry.quarantined, items)

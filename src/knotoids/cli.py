@@ -20,7 +20,6 @@ from . import (
     carter_genus,
     classify_crossings,
     evenly_intersticed,
-    flat_projection,
     height_bounds,
     normalized_bracket,
     odd_writhe,
@@ -34,10 +33,10 @@ from . import (
 )
 from .affine import VirtualityReport
 from .codes import KnotoidCode
-from .catalog import catalog_entry, load_catalog, verify_entry
+from .catalog import Invariants, catalog_entry, load_catalog, verify_entry
 from .closures import HeightBound
 from .errors import BadArgument, InputFileError, KnotoidError, ShapeError
-from .parity_bracket import flat_parity_bracket, normalize_parity, parity_bracket
+from .parity_bracket import normalize_parity, parity_bracket
 from .smoothing import DEFAULT_STATE_LIMIT
 
 
@@ -184,25 +183,24 @@ def _run(args) -> int:
         report |= bound.to_json()
     elif args.command == "invariants":
         w = writhe(code)
-        arrow = arrow_polynomial(code, limit)
-        raw = arrow.coefficient_sum()
-        parity = parity_bracket(code, limit)
+        values = Invariants(code, limit)
+        arrow, parity = values.arrow, values.parity
         ow = odd_writhe(code)
         report |= {
             "writhe": w,
             "odd_writhe": ow.value,
-            "bracket": raw.render(),
-            "normalized_bracket": writhe_normalize(raw, w).render(),
+            "bracket": values.bracket.render(),
+            "normalized_bracket": writhe_normalize(values.bracket, w).render(),
             "arrow": arrow.render(),
             "normalized_arrow": writhe_normalize(arrow, w).render(),
             "k_degree": arrow.k_degree(),
             "lambda_degree": arrow.lambda_degree(),
             "parity_bracket": parity.render(),
             "normalized_parity_bracket": normalize_parity(parity, w).render(),
-            "flat_parity_trivial": flat_parity_bracket(flat_projection(code), limit).is_trivial(),
+            "flat_parity_trivial": values.flat_parity.is_trivial(),
         }
         try:
-            affine = affine_index(code)
+            affine = values.affine
             report |= {"affine": affine.render(), "affine_symmetric": affine.is_symmetric()}
         except ShapeError:
             affine = report["affine"] = None

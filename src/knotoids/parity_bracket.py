@@ -36,6 +36,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
+from .bracket import writhe
 from .codes import (
     EVEN,
     FlatCode,
@@ -87,17 +88,8 @@ class ParityBracketValue:
     def __hash__(self):
         return hash((self.plain, tuple(sorted(self.graphical.items()))))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ParityBracketValue)
-            and self.plain == other.plain
-            and self.graphical == other.graphical
-        )
-
     def render(self) -> str:
         parts = [self.plain.render()] if self.plain or not self.graphical else []
-        if not self.plain and not self.graphical:
-            parts = ["0"]
         for key in sorted(self.graphical):
             parts.append(f"({self.graphical[key].render()})*[{key}]")
         return " + ".join(parts)
@@ -122,15 +114,14 @@ class FlatParityValue:
     def __hash__(self):
         return hash((self.plain, tuple(sorted(self.graphical.items()))))
 
+    @classmethod
+    def of(cls, value: ParityBracketValue) -> FlatParityValue:
+        """A parity bracket at A = -1; graphical terms that vanish there drop."""
+        graphical = {k: v.evaluate_int(-1) for k, v in value.graphical.items()}
+        return cls(value.plain.evaluate_int(-1), {k: v for k, v in graphical.items() if v})
+
     def is_trivial(self) -> bool:
         return not self.graphical
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FlatParityValue)
-            and self.plain == other.plain
-            and self.graphical == other.graphical
-        )
 
 
 def _node_rotation(compiled: CompiledCode, k: int) -> tuple[int, int, int, int]:
@@ -483,9 +474,18 @@ def _close_stub_paths(state: GraphState) -> None:
         partner[last_port] = first_port
 
 
-def _accumulate(
-    compiled: CompiledCode, code: KnotoidCode, state_limit: int, closed: bool
+def parity_bracket(
+    code: KnotoidCode, state_limit: int = DEFAULT_STATE_LIMIT, closed: bool = False
 ) -> ParityBracketValue:
+    """The raw parity bracket (no writhe normalization).
+
+    With ``closed=True`` every graphical state is first sent through the
+    virtual-closure identification (open strands closed up, then reduced
+    again); the result equals the parity bracket of the virtually closed
+    code exactly.  A knotoid keeps strictly more information in the open
+    form, so ``closed=False`` is the default.
+    """
+    compiled = CompiledCode(code)
     infos = classify_crossings(code)
     even = [compiled.index_of[i.label] for i in infos if i.parity == EVEN]
     if len(even) > state_limit:
@@ -539,27 +539,11 @@ def _accumulate(
     )
 
 
-def parity_bracket(
-    code: KnotoidCode, state_limit: int = DEFAULT_STATE_LIMIT, closed: bool = False
-) -> ParityBracketValue:
-    """The raw parity bracket (no writhe normalization).
-
-    With ``closed=True`` every graphical state is first sent through the
-    virtual-closure identification (open strands closed up, then reduced
-    again); the result equals the parity bracket of the virtually closed
-    code exactly.  A knotoid keeps strictly more information in the open
-    form, so ``closed=False`` is the default.
-    """
-    return _accumulate(CompiledCode(code), code, state_limit, closed)
-
-
 def normalized_parity_bracket(
     code: KnotoidCode, state_limit: int = DEFAULT_STATE_LIMIT
 ) -> ParityBracketValue:
     """(-A^3)^(-writhe) times the parity bracket; a move invariant."""
-    compiled = CompiledCode(code)
-    raw = _accumulate(compiled, code, state_limit, False)
-    return normalize_parity(raw, sum(compiled.cross_sign))
+    return normalize_parity(parity_bracket(code, state_limit), writhe(code))
 
 
 def normalize_parity(raw: ParityBracketValue, w: int) -> ParityBracketValue:
@@ -573,7 +557,12 @@ def normalize_parity(raw: ParityBracketValue, w: int) -> ParityBracketValue:
 def flat_parity_bracket(
     flat: FlatCode, state_limit: int = DEFAULT_STATE_LIMIT
 ) -> FlatParityValue:
-    """The parity bracket of a flat diagram, i.e. the A = -1 evaluation."""
+    """The parity bracket of a flat diagram, i.e. the A = -1 evaluation.
+
+    ``flat_parity_bracket(flat_projection(code))`` equals
+    ``FlatParityValue.of(parity_bracket(code))``: the flat parity bracket
+    of a diagram is its parity bracket at A = -1.
+    """
     comps = []
     for comp in flat.components:
         passages = tuple(
@@ -582,12 +571,4 @@ def flat_parity_bracket(
         )
         comps.append(ComponentCode(comp.kind, passages))
     pseudo = KnotoidCode(tuple(comps))
-    value = parity_bracket(pseudo, state_limit)
-    return FlatParityValue(
-        plain=value.plain.evaluate_int(-1),
-        graphical={
-            k: v.evaluate_int(-1)
-            for k, v in value.graphical.items()
-            if v.evaluate_int(-1) != 0
-        },
-    )
+    return FlatParityValue.of(parity_bracket(pseudo, state_limit))

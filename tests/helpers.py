@@ -1,6 +1,7 @@
 """Shared test utilities: seeded random diagrams and invariant bundles."""
 
 import random
+import sys
 
 from knotoids.codes import ComponentCode, KnotoidCode, Passage, validate
 from knotoids.affine import affine_index
@@ -85,3 +86,18 @@ def relabeled(code: KnotoidCode, rng: random.Random) -> KnotoidCode:
         for c in code.components
     )
     return KnotoidCode(comps)
+
+
+def count_calls(monkeypatch, calls: list, original) -> None:
+    """Append the name of ``original`` to ``calls`` on each of its calls,
+    wherever a knotoids module binds it."""
+
+    def wrapper(*args, **kwargs):
+        calls.append(original.__name__)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "knotoids":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)

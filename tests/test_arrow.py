@@ -4,9 +4,10 @@ import random
 
 from knotoids.arrow import arrow_degrees, arrow_polynomial, normalized_arrow, reduce_cusps
 from knotoids.bracket import bracket, normalized_bracket
+from knotoids.closures import virtual_closure
 from knotoids.codes import parse
 from knotoids.laurent import ArrowPoly, LaurentA
-from helpers import random_code
+from helpers import random_code, random_multi_code
 
 FIG1G = "open: OA+ OB+ UC+ UD+ UA+ OE+ UF+ OD+ UB+ UE+ OF+ OC+"
 
@@ -57,15 +58,21 @@ def test_arrow_degrees_examples():
 
 
 def test_coefficient_sum_reproduces_bracket():
-    # Dropping all cusp bookkeeping re-parenthesizes the bracket sum.
+    # Dropping all cusp bookkeeping re-parenthesizes the bracket sum: on one
+    # leg with loops, on several legs with and without empty components, and
+    # on loop-only virtual closures.
     rng = random.Random(41)
-    for _ in range(100):
-        code = random_code(rng, rng.randint(0, 6), loops=rng.choice((0, 0, 1)))
+    codes = [random_code(rng, rng.randint(0, 6), loops=rng.choice((0, 0, 1))) for _ in range(100)]
+    codes += [random_multi_code(rng, rng.randint(0, 6), empty=i % 2 == 1) for i in range(60)]
+    codes += [virtual_closure(random_code(rng, rng.randint(0, 6))) for _ in range(30)]
+    assert max(len(code.open_components) for code in codes) >= 3
+    assert any(not comp.passages for code in codes for comp in code.components)
+    for code in codes:
         arrow = arrow_polynomial(code)
         total = LaurentA.zero()
         for coeff in arrow.terms.values():
             total = total + coeff
-        assert total == bracket(code)
+        assert total == bracket(code), code
         assert arrow.coefficient_sum() == total
 
 

@@ -1,10 +1,12 @@
 """Catalog fixtures: presence, provenance, and exact verification."""
 
-import knotoids.catalog
-import knotoids.closures
+from knotoids.affine import affine_index
+from knotoids.arrow import arrow_polynomial
 from knotoids.catalog import catalog_entry, load_catalog, verify_entry
 from knotoids.codes import serialize, spiral
+from knotoids.parity_bracket import flat_parity_bracket, parity_bracket
 from knotoids.smoothing import CompiledCode
+from helpers import count_calls
 
 REQUIRED = {
     "trivial", "kink", "fig1g", "fig1f", "fig15_k1", "fig17_k1", "fig17_k2",
@@ -56,19 +58,19 @@ def test_verify_computes_each_state_sum_once(monkeypatch):
     # fig15_k1, kink and trivial also expect the bracket, which is the arrow's
     # coefficient sum, so no bracket state sum (contract(False)) runs.
     calls = []
-
-    def counted(name, original):
-        def wrapper(*args):
-            calls.append(name)
-            return original(*args)
-        return wrapper
-
-    for module in (knotoids.catalog, knotoids.closures):
-        for name in ("arrow_polynomial", "affine_index"):
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for fn in (arrow_polynomial, affine_index, parity_bracket, flat_parity_bracket):
+        count_calls(monkeypatch, calls, fn)
     report = verify_entry(catalog_entry("fig1g"))
     assert report.ok
-    assert sorted(calls) == ["affine_index", "arrow_polynomial"]
+    assert sorted(calls) == ["affine_index", "arrow_polynomial", "parity_bracket"]
+
+    # These expect flat_parity_trivial, which is the parity bracket at A = -1,
+    # and most of them a parity key too: one parity state sum serves both.
+    for entry_id in ("fig1g", "kink", "fig1e_trefoil", "fig18_virtual"):
+        calls.clear()
+        assert verify_entry(catalog_entry(entry_id)).ok, entry_id
+        assert calls.count("parity_bracket") == 1, (entry_id, calls)
+        assert "flat_parity_bracket" not in calls, (entry_id, calls)
 
     contract = CompiledCode.contract
     monkeypatch.setattr(

@@ -4,15 +4,14 @@ import hashlib
 import json
 import random
 
-import knotoids.affine
-import knotoids.cli
-import knotoids.closures
+from knotoids.affine import affine_index
 from knotoids.catalog import load_catalog
 from knotoids.cli import main
 from knotoids.codes import serialize
 from knotoids.errors import KnotoidError
+from knotoids.parity_bracket import flat_parity_bracket
 from knotoids.smoothing import CompiledCode
-from helpers import random_code, random_multi_code
+from helpers import count_calls, random_code, random_multi_code
 
 
 def run(capsys, *argv):
@@ -166,24 +165,23 @@ def test_golden_invariants_on_seeded_codes(capsys):
 def test_invariants_computes_each_state_sum_once(monkeypatch, capsys):
     calls = []
 
-    def counted(name, original):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-        return wrapper
-
     def counted_contract(self, want_words):
         calls.append(f"contract({want_words})")
         return contract(self, want_words)
 
-    contract = CompiledCode.contract
+    def counted_frontier(self, *args, **kwargs):
+        calls.append("frontier")
+        return frontier(self, *args, **kwargs)
+
+    contract, frontier = CompiledCode.contract, CompiledCode.frontier
     monkeypatch.setattr(CompiledCode, "contract", counted_contract)
-    monkeypatch.setattr(CompiledCode, "frontier", counted("frontier", CompiledCode.frontier))
-    for module in (knotoids.cli, knotoids.affine, knotoids.closures):
-        monkeypatch.setattr(module, "affine_index", counted("affine_index", module.affine_index))
+    monkeypatch.setattr(CompiledCode, "frontier", counted_frontier)
+    for fn in (affine_index, flat_parity_bracket):
+        count_calls(monkeypatch, calls, fn)
     assert main(["invariants", "--catalog", "fig1g", "--format", "json"]) == 0
-    # Arrow, parity bracket and flat parity bracket; the bracket is read off the arrow.
-    assert sorted(calls) == ["affine_index", "contract(True)", "frontier", "frontier", "frontier"]
+    # The arrow and the parity bracket; the bracket is read off the arrow and
+    # the flat parity bracket off the parity bracket at A = -1.
+    assert sorted(calls) == ["affine_index", "contract(True)", "frontier", "frontier"]
 
 
 def _error_type(capsys, argv) -> str:

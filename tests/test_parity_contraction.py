@@ -86,6 +86,9 @@ def assert_matches(code):
         closure = virtual_closure(code)
         assert parity_bracket(closure) == reference(closure), code
     assert flat_parity_bracket(flat_projection(code)) == flat_reference(code), code
+    # The flat parity bracket is the parity bracket at A = -1.
+    at_minus_one = FlatParityValue.of(parity_bracket(code))
+    assert flat_parity_bracket(flat_projection(code)) == at_minus_one, code
 
 
 def parities(code) -> set[str]:

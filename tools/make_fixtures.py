@@ -10,7 +10,7 @@ import sys
 sys.path.insert(0, "src")
 
 import knotoids as K
-from knotoids.catalog import compute_invariant
+from knotoids.catalog import Invariants, compute_invariant
 
 OUT = "src/knotoids/data"
 
@@ -21,11 +21,12 @@ FIGURE = "reference figure metadata"
 
 def write_fixture(name, code_text, meta, expects):
     code = K.parse(code_text)
+    values = Invariants(code)
     lines = [f"meta id={name}"]
     for key, value in sorted(meta.items()):
         lines.append(f"meta {key}={value}")
     for key, (value, cite) in sorted(expects.items()):
-        computed = compute_invariant(code, key)
+        computed = compute_invariant(values, key)
         if value is not None and computed != value:
             raise SystemExit(f"{name}: {key}: expected {value!r}, computed {computed!r}")
         lines.append(f"meta expect.{key}={computed}")

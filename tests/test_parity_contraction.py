@@ -85,10 +85,10 @@ def assert_matches(code):
     if len(code.open_components) == 1:
         closure = virtual_closure(code)
         assert parity_bracket(closure) == reference(closure), code
-    assert flat_parity_bracket(flat_projection(code)) == flat_reference(code), code
+    flat = flat_parity_bracket(flat_projection(code))
+    assert flat == flat_reference(code), code
     # The flat parity bracket is the parity bracket at A = -1.
-    at_minus_one = FlatParityValue.of(parity_bracket(code))
-    assert flat_parity_bracket(flat_projection(code)) == at_minus_one, code
+    assert flat == FlatParityValue.of(parity_bracket(code)), code
 
 
 def parities(code) -> set[str]:

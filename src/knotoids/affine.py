@@ -153,10 +153,12 @@ class VirtualityReport:
         }
 
 
-def detect_virtuality(code: KnotoidCode, state_limit: int | None = None) -> VirtualityReport:
+def detect_virtuality(
+    code: KnotoidCode, state_limit: int = DEFAULT_STATE_LIMIT
+) -> VirtualityReport:
     """Flag every virtuality witness the invariant suite can produce."""
     if not code.is_standard_knotoid():
         raise ShapeError("virtuality detection needs a standard knotoid")
-    limit = DEFAULT_STATE_LIMIT if state_limit is None else state_limit
-    values = affine_index(code), arrow_polynomial(code, limit), parity_bracket(code, limit)
-    return VirtualityReport.of(*values)
+    return VirtualityReport.of(
+        affine_index(code), arrow_polynomial(code, state_limit), parity_bracket(code, state_limit)
+    )

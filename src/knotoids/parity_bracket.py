@@ -15,7 +15,10 @@ The state sum is a projection of ``CompiledCode.frontier``: only the even
 crossings are smoothed, so the four ports of every node stay boundary
 ends, and each distinct final pairing of node ports and stubs is exactly
 one graph state.  It is built, reduced and given its canonical form once,
-and weighted by the counts of all the states that share it.
+and weighted by the counts of all the states that share it.  A graph
+state numbers the ports of its i-th node ``4 * i + slot`` (see
+``GraphState``), so bigon search, splicing and traces move between ports
+by arithmetic alone.
 ``parity_states`` remains as an independent reference for the tests: it
 glues each of the 2^e smoothings with ``CompiledCode.glue_for_mask`` and
 follows its strands from node port to node port in ``_build_state``.
@@ -31,7 +34,6 @@ those particular slides.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -54,22 +56,18 @@ from .smoothing import CompiledCode, DEFAULT_STATE_LIMIT
 class GraphState:
     """One parity state: rotation nodes joined by edges through smoothings.
 
-    ``rotations`` maps a node (crossing index) to its four ports in
-    counterclockwise order; ``partner`` is the edge matching on ports and
-    stub terminals; ``circles`` counts node-free closed components.
+    Node ``i`` is the ``i``-th node crossing in index order, and its ports
+    are ``4 * i + slot`` for its counterclockwise rotation slots 0-3, so a
+    port's node is ``p >> 2``, its slot ``p & 3`` and the port across the
+    node ``p ^ 2``.  ``nodes`` holds the nodes not yet spliced away;
+    ``partner`` is the edge matching on their ports and the (negative) stub
+    terminals; ``circles`` counts node-free closed components.
     """
 
-    rotations: dict[int, tuple[int, int, int, int]]
+    nodes: set[int]
     partner: dict[int, int]
     circles: int
     sigma: int
-
-    def port_node(self) -> dict[int, tuple[int, int]]:
-        lookup = {}
-        for node, rot in self.rotations.items():
-            for slot, port in enumerate(rot):
-                lookup[port] = (node, slot)
-        return lookup
 
 
 @dataclass(frozen=True)
@@ -124,11 +122,23 @@ class FlatParityValue:
         return not self.graphical
 
 
-def _node_rotation(compiled: CompiledCode, k: int) -> tuple[int, int, int, int]:
-    a, b = compiled.cross_over[k], compiled.cross_under[k]
-    if compiled.cross_sign[k] > 0:
-        return (2 * a, 2 * b, 2 * a + 1, 2 * b + 1)
-    return (2 * a, 2 * b + 1, 2 * a + 1, 2 * b)
+def _ports(compiled: CompiledCode, nodes: list[int]) -> dict[int, int]:
+    """Map each arc end at the crossings ``nodes`` to its port ``4 * i + slot``.
+
+    ``i`` is the crossing's place in ``nodes`` and ``slot`` its
+    counterclockwise rotation slot; ends across the crossing get opposite
+    slots.
+    """
+    ports = {}
+    for i, k in enumerate(nodes):
+        a, b = compiled.cross_over[k], compiled.cross_under[k]
+        if compiled.cross_sign[k] > 0:
+            rotation = (2 * a, 2 * b, 2 * a + 1, 2 * b + 1)
+        else:
+            rotation = (2 * a, 2 * b + 1, 2 * a + 1, 2 * b)
+        for slot, end in enumerate(rotation):
+            ports[end] = 4 * i + slot
+    return ports
 
 
 def _build_state(compiled, node_set, even_list, mask) -> GraphState:
@@ -144,7 +154,7 @@ def _build_state(compiled, node_set, even_list, mask) -> GraphState:
     sigma_tab = compiled.sigma_table()
     sigma = sum(sigma_tab[k][bit] for bit, k in zip(bits, even_list))
 
-    is_node_end = [compiled.pass_crossing[e >> 1] in node_set for e in range(2 * compiled.P)]
+    ports = _ports(compiled, sorted(node_set))
     succ, pred = compiled.succ, compiled.pred
     partner: dict[int, int] = {}
     consumed = bytearray(2 * compiled.P)
@@ -154,7 +164,7 @@ def _build_state(compiled, node_set, even_list, mask) -> GraphState:
         x = first
         while x >= 0:
             consumed[x] = 1
-            if is_node_end[x]:
+            if x in ports:
                 return x
             g = glue[x]
             consumed[g] = 1
@@ -165,13 +175,11 @@ def _build_state(compiled, node_set, even_list, mask) -> GraphState:
         partner[a] = b
         partner[b] = a
 
-    rotations = {k: _node_rotation(compiled, k) for k in sorted(node_set)}
-    for k in rotations:
-        for port in rotations[k]:
-            if port in partner:
-                continue
-            consumed[port] = 1
-            connect(port, walk_from(compiled.arc_end(port)))
+    for end in ports:
+        if end in partner:
+            continue
+        consumed[end] = 1
+        connect(end, walk_from(compiled.arc_end(end)))
     for ci in compiled.open_comps:
         tail = -(2 * ci + 1)
         if tail in partner:
@@ -185,7 +193,7 @@ def _build_state(compiled, node_set, even_list, mask) -> GraphState:
 
     circles = compiled.free_circles
     for e in range(2 * compiled.P):
-        if consumed[e] or is_node_end[e]:
+        if consumed[e] or e in ports:
             continue
         x = compiled.arc_end(e)
         while True:
@@ -197,41 +205,24 @@ def _build_state(compiled, node_set, even_list, mask) -> GraphState:
             x = succ[g] if g & 1 else pred[g]
         circles += 1
 
-    return GraphState(rotations=rotations, partner=partner, circles=circles, sigma=sigma)
+    partner = {ports.get(a, a): ports.get(b, b) for a, b in partner.items()}
+    return GraphState(set(range(len(node_set))), partner, circles, sigma)
 
 
-def _find_bigon(state: GraphState):
-    """A (u, v, e1, e2) reducible bigon per the rotation criterion, or None.
+def _find_bigon(state: GraphState) -> tuple[int, int] | None:
+    """The nodes (u, v) of a reducible bigon per the rotation criterion, or None.
 
-    An edge pair joining the same two nodes bounds a reducible bigon when
-    the two edges sit cyclically adjacent at both nodes and in opposite
-    relative order (one node reads them ccw as e1 e2, the other as e2 e1).
-    Nodes may share more than two edges; every connecting pair is tried.
+    Two edges joining distinct nodes u and v bound a reducible bigon when
+    they sit cyclically adjacent at both nodes and in opposite relative
+    order: one node reads them ccw as e1 e2, the other as e2 e1.  So an edge
+    (p, q) from u to v bounds one with the edge from the port after p to
+    the port before q, if there is such an edge.
     """
-    port_lookup = state.port_node()
-    edges_between: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    seen_ports = set()
-    for port, (node, _slot) in port_lookup.items():
-        if port in seen_ports:
-            continue
-        q = state.partner[port]
-        seen_ports.add(port)
-        if q < 0 or q not in port_lookup:
-            continue
-        seen_ports.add(q)
-        other = port_lookup[q][0]
-        if other == node:
-            continue
-        key = (node, other) if node < other else (other, node)
-        pair = (port, q) if node < other else (q, port)
-        edges_between.setdefault(key, []).append(pair)
-    for (u, v), pairs in edges_between.items():
-        rot_u, rot_v = state.rotations[u], state.rotations[v]
-        for (u1, v1), (u2, v2) in itertools.combinations(pairs, 2):
-            order_u = (rot_u.index(u2) - rot_u.index(u1)) % 4
-            order_v = (rot_v.index(v2) - rot_v.index(v1)) % 4
-            if order_u in (1, 3) and order_v in (1, 3) and order_u != order_v:
-                return u, v, (u1, v1), (u2, v2)
+    partner = state.partner
+    for p, q in partner.items():
+        if p >= 0 and q >= 0 and p >> 2 != q >> 2:
+            if partner[p & ~3 | (p + 1) & 3] == q & ~3 | (q + 3) & 3:
+                return p >> 2, q >> 2
     return None
 
 
@@ -241,62 +232,24 @@ def reduce_graph(state: GraphState) -> GraphState:
         found = _find_bigon(state)
         if found is None:
             return state
-        u, v, _e1, _e2 = found
-        _splice(state, u, v)
+        _splice(state, *found)
 
 
 def _splice(state: GraphState, u: int, v: int) -> None:
-    wire: dict[int, int] = {}
-    dead: set[int] = set()
-    for node in (u, v):
-        rot = state.rotations[node]
-        for s in range(4):
-            wire[rot[s]] = rot[(s + 2) % 4]
-            dead.add(rot[s])
+    """Remove nodes u and v, joining each straight strand through them.
+
+    A strand that closes on itself once its nodes are gone is a circle.
+    """
     partner = state.partner
-    processed: set[int] = set()
-    chained: set[int] = set()
-    new_pairs: list[tuple[int, int]] = []
-    for t in list(partner):
-        if t in dead or t in processed:
-            continue
-        q = partner[t]
-        if q not in dead:
-            continue
-        x = q
-        chained.add(x)
-        while True:
-            y = wire[x]
-            chained.add(y)
-            z = partner[y]
-            if z in dead:
-                chained.add(z)
-                x = z
-                continue
-            new_pairs.append((t, z))
-            processed.add(t)
-            processed.add(z)
-            break
-    for x0 in dead:
-        if x0 in chained:
-            continue
-        x = x0
-        while True:
-            chained.add(x)
-            y = wire[x]
-            chained.add(y)
-            z = partner[y]
-            if z == x0:
+    for node in (u, v):
+        for p in (4 * node, 4 * node + 1):
+            a, b = partner.pop(p), partner.pop(p ^ 2)
+            if a == p ^ 2:
                 state.circles += 1
-                break
-            x = z
-    for p in dead:
-        partner.pop(p, None)
-    for a, b in new_pairs:
-        partner[a] = b
-        partner[b] = a
-    del state.rotations[u]
-    del state.rotations[v]
+            else:
+                partner[a] = b
+                partner[b] = a
+    state.nodes -= {u, v}
 
 
 def canonical_graph(state: GraphState) -> list[str]:
@@ -319,11 +272,8 @@ def canonical_graph(state: GraphState) -> list[str]:
     greater than the best trace so far, which leaves the minimum
     unchanged, and only each component's winner is rendered to a string.
     """
-    rotations, partner = state.rotations, state.partner
-    if not rotations:
-        return []
-    port_lookup = state.port_node()
-    by_string = sorted(range(len(rotations)), key=str)
+    partner = state.partner
+    by_string = sorted(range(len(state.nodes)), key=str)
     ranks = [0] * len(by_string)
     for rank, node_id in enumerate(by_string):
         ranks[node_id] = 4 * rank
@@ -333,19 +283,19 @@ def canonical_graph(state: GraphState) -> list[str]:
     # node in search order; ``succ`` maps a local port to the one entered
     # after leaving by it, or to -1 at a stub.
     local: dict[int, int] = {}
-    for root in rotations:
+    for root in state.nodes:
         if root in local:
             continue
         local[root] = 0
         members = [root]
         succ: list[int] = []
         for node in members:
-            for port in rotations[node]:
+            for port in range(4 * node, 4 * node + 4):
                 q = partner[port]
                 if q < 0:
                     succ.append(-1)
                     continue
-                far, slot = port_lookup[q]
+                far, slot = q >> 2, q & 3
                 if far not in local:
                     local[far] = 4 * len(members)
                     members.append(far)
@@ -445,31 +395,19 @@ def _close_stub_paths(state: GraphState) -> None:
     stub-to-stub edges become circles.
     """
     partner = state.partner
-    stubs = sorted((t for t in partner if t < 0), reverse=True)
-    port_lookup = state.port_node()
-    seen: set[int] = set()
-    for s in stubs:
-        if s in seen:
-            continue
-        # Walk the strand from s to its far stub.
-        seen.add(s)
-        x = partner[s]
+    for s in sorted((t for t in partner if t < 0), reverse=True):
+        if s not in partner:
+            continue  # the far stub of a strand already closed
+        x = partner.pop(s)
         if x < 0:
-            seen.add(x)
-            del partner[s]
             del partner[x]
             state.circles += 1
             continue
         first_port = x
+        # Walk the strand from s to its far stub.
         while x >= 0:
-            node, slot = port_lookup[x]
-            exit_port = state.rotations[node][(slot + 2) % 4]
-            x = partner[exit_port]
-        far_stub = x
-        seen.add(far_stub)
-        last_port = partner[far_stub]
-        del partner[s]
-        del partner[far_stub]
+            x = partner[x ^ 2]
+        last_port = partner.pop(x)
         partner[first_port] = last_port
         partner[last_port] = first_port
 
@@ -493,16 +431,16 @@ def parity_bracket(
             f"{len(even)} even crossings exceed the state limit {state_limit}"
         )
     nodes = sorted(compiled.index_of[i.label] for i in infos if i.parity != EVEN)
-    rotations = {k: _node_rotation(compiled, k) for k in nodes}
+    ports = _ports(compiled, nodes)
     # Arcs that meet no even crossing join the same ends in every state:
     # node port to node port or stub, and the stubs of an empty leg.
     direct: dict[int, int] = {}
-    for rot in rotations.values():
-        for port in rot:
-            far = compiled.arc_end(port)
-            if far < 0 or compiled.crossing_of(far) in rotations:
-                direct[port] = far
-                direct[far] = port
+    for end, port in ports.items():
+        far = compiled.arc_end(end)
+        if far < 0 or far in ports:
+            far = ports.get(far, far)
+            direct[port] = far
+            direct[far] = port
     for ci in compiled.open_comps:
         if compiled.first_target[ci] < 0:
             direct[-(2 * ci + 1)] = -(2 * ci + 2)
@@ -516,11 +454,11 @@ def parity_bracket(
             if end == other:
                 finished.append(end)
             else:
-                partner[end] = other
+                partner[ports.get(end, end)] = ports.get(other, other)
         for s, t in zip(finished[::2], finished[1::2]):
             partner[s] = t
             partner[t] = s
-        state = GraphState(dict(rotations), partner, compiled.free_circles, 0)
+        state = GraphState(set(range(len(nodes))), partner, compiled.free_circles, 0)
         state = reduce_graph(state)
         if closed:
             _close_stub_paths(state)

@@ -82,6 +82,20 @@ def test_oracle_matches_state_sum():
     for _ in range(120):
         code = random_code(rng, rng.randint(0, 6), loops=rng.choice((0, 0, 1)))
         assert bracket(code) == bracket_oracle(code)
+    # Several components, half of them with an empty one, and loop-only
+    # virtual closures.
+    legs = empty = 0
+    for i in range(120):
+        code = random_multi_code(rng, rng.randint(0, 7), empty=i % 2 == 0)
+        legs = max(legs, len(code.open_components))
+        empty += any(not comp.passages for comp in code.components)
+        assert bracket(code) == bracket_oracle(code), code
+    for _ in range(60):
+        code = virtual_closure(random_code(rng, rng.randint(0, 7)))
+        assert not code.open_components
+        assert bracket(code) == bracket_oracle(code), code
+    assert legs >= 3
+    assert empty >= 50
 
 
 def test_limit_errors():

@@ -1,11 +1,13 @@
 """Parity bracket: graph states, bigon reduction, canonical forms."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
 from knotoids.bracket import bracket
-from knotoids.codes import flat_projection, parse
+from knotoids.codes import classify_crossings, flat_projection, parse, serialize
 from knotoids.laurent import LaurentA
 from knotoids.moves import MoveSpec, R2_INSERT, apply_move
 from knotoids.parity_bracket import (
@@ -33,16 +35,16 @@ def test_all_even_states_have_no_nodes():
     code = parse("open: O1+ U2+ O3+ U1+ O2+ U3+")
     states = list(parity_states(code))
     assert len(states) == 8
-    assert all(not s.rotations for s in states)
+    assert all(not s.nodes for s in states)
 
 
 def test_fig18_single_irreducible_state():
     code = parse(FIG18)
     states = list(parity_states(code))
     assert len(states) == 1
-    assert len(states[0].rotations) == 2
+    assert len(states[0].nodes) == 2
     reduced = reduce_graph(states[0])
-    assert len(reduced.rotations) == 2  # the bigon criterion refuses it
+    assert len(reduced.nodes) == 2  # the bigon criterion refuses it
     value = parity_bracket(code)
     assert value.plain.is_zero()
     assert list(value.graphical.values()) == [LaurentA.one()]
@@ -152,3 +154,27 @@ def test_values_are_hashable_and_graphical_read_only():
         key = next(iter(v.graphical))
         with pytest.raises(TypeError):
             v.graphical[key] = v.graphical[key]
+
+
+def test_golden_values_at_scale():
+    """sha256 pins of 30 seeded one-leg codes of 16-20 crossings, 6-8 of them
+    even, as in the ``parity`` benchmark: the open and closed parity brackets
+    and the flat parity bracket, recorded before graph states numbered their
+    ports ``4 * i + slot``."""
+    rng = random.Random(65)
+    rows = {"open": [], "closed": [], "flat": []}
+    for n, even in [(16, 8), (17, 7), (18, 6), (19, 7), (20, 6)] * 6:
+        code = random_code(rng, n)
+        while sum(info.parity == "even" for info in classify_crossings(code)) != even:
+            code = random_code(rng, n)
+        flat = flat_parity_bracket(flat_projection(code))
+        rows["open"].append([serialize(code), parity_bracket(code).to_json()])
+        rows["closed"].append([serialize(code), parity_bracket(code, closed=True).to_json()])
+        rows["flat"].append([serialize(code), flat.plain, sorted(flat.graphical.items())])
+    digests = {k: hashlib.sha256(json.dumps(v).encode()).hexdigest() for k, v in rows.items()}
+    assert sum(bool(row[1]["graphical"]) for row in rows["open"]) >= 20
+    assert digests == {
+        "open": "3c7cfae3fc2f7ece239aededd973e5da05e57597b45dcb80fcaf5100b2e2e028",
+        "closed": "b340353d67cdf22d97993eb53e3908e3f154dbaf651b144e5993fca3c0420044",
+        "flat": "70d85e268fa955bbe672480d0bca54ebcd0ece2176fe0d5516aa7049250265eb",
+    }

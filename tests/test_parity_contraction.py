@@ -4,9 +4,12 @@
 frontier engine; the reference here builds, reduces and canonicalizes
 every one of the 2^e states from ``parity_states``, as the bracket's
 definition reads.  ``canonical_graph``'s cut-short int traces are checked
-against the plain minimum of full string traces from ``trace_component``.
+against the plain minimum of full string traces from ``trace_component``,
+and ``_find_bigon`` against the pairwise bigon criterion of
+``reference_bigons``.
 """
 
+import itertools
 import random
 
 import pytest
@@ -26,8 +29,11 @@ from knotoids.errors import LimitExceeded
 from knotoids.laurent import LaurentA, loop_value
 from knotoids.parity_bracket import (
     FlatParityValue,
+    GraphState,
     ParityBracketValue,
     _close_stub_paths,
+    _find_bigon,
+    _splice,
     canonical_graph,
     flat_parity_bracket,
     parity_bracket,
@@ -36,6 +42,11 @@ from knotoids.parity_bracket import (
 )
 from knotoids.smoothing import CompiledCode
 from helpers import random_code, random_multi_code
+
+
+def segments(state) -> int:
+    """The stub-to-stub edges of a state: node-free open segments."""
+    return sum(1 for a, b in state.partner.items() if a < 0 and b < 0 and a < b)
 
 
 def reference(code: KnotoidCode, closed: bool = False) -> ParityBracketValue:
@@ -49,9 +60,8 @@ def reference(code: KnotoidCode, closed: bool = False) -> ParityBracketValue:
             _close_stub_paths(state)
             state = reduce_graph(state)
         encodings = canonical_graph(state)
-        segments = sum(1 for a, b in state.partner.items() if a < 0 and b < 0 and a < b)
         weight = LaurentA.one()
-        for _ in range(state.circles + segments + len(encodings) - 1):
+        for _ in range(state.circles + segments(state) + len(encodings) - 1):
             weight = weight * d
         weight = weight.shift(state.sigma)
         if encodings:
@@ -150,7 +160,7 @@ def test_catalog_entries():
         assert_matches(entry.code)
 
 
-def trace_component(state, port_lookup, start) -> str:
+def trace_component(state, start) -> str:
     """The full trace of one component from ``start``, as comma-joined tokens.
 
     ``start`` is a stub or a port to leave by.  Nodes get ids by first
@@ -160,7 +170,6 @@ def trace_component(state, port_lookup, start) -> str:
     the first unused port of the visited nodes, in visit order and
     counterclockwise from the entry slot.
     """
-    rotations = state.rotations
     partner = state.partner
     node_id: dict[int, int] = {}
     ref_slot: dict[int, int] = {}
@@ -170,15 +179,15 @@ def trace_component(state, port_lookup, start) -> str:
 
     def enter(port) -> int:
         """Record a visit entering at ``port``; return the exit port."""
-        node, slot = port_lookup[port]
+        node, slot = port >> 2, port & 3
         if node not in node_id:
             node_id[node] = len(node_id)
             ref_slot[node] = slot
             for extra in range(4):
-                pending.append(rotations[node][(slot + extra) % 4])
+                pending.append(4 * node + (slot + extra) % 4)
         tokens.append(f"{node_id[node]}.{(slot - ref_slot[node]) % 4}")
         used_entries.add(port)
-        return rotations[node][(slot + 2) % 4]
+        return port ^ 2
 
     def run_strand(first_terminal) -> None:
         if first_terminal < 0:
@@ -214,23 +223,23 @@ def trace_component(state, port_lookup, start) -> str:
 
 def plain_canonical(state) -> list[str]:
     """Per node component, the minimum of its full string traces, sorted."""
-    lookup = state.port_node()
     groups: list[set[int]] = []
-    for node in state.rotations:
+    for node in state.nodes:
         reach, todo = {node}, [node]
         while todo:
-            for port in state.rotations[todo.pop()]:
+            k = todo.pop()
+            for port in range(4 * k, 4 * k + 4):
                 q = state.partner[port]
-                if q in lookup and lookup[q][0] not in reach:
-                    reach.add(lookup[q][0])
-                    todo.append(lookup[q][0])
+                if q >= 0 and q >> 2 not in reach:
+                    reach.add(q >> 2)
+                    todo.append(q >> 2)
         if reach not in groups:
             groups.append(reach)
     encodings = []
     for members in groups:
-        ports = [port for k in members for port in state.rotations[k]]
+        ports = [port for k in members for port in range(4 * k, 4 * k + 4)]
         starts = [state.partner[p] for p in ports if state.partner[p] < 0] or ports
-        encodings.append(min(trace_component(state, lookup, s) for s in starts))
+        encodings.append(min(trace_component(state, s) for s in starts))
     return sorted(encodings)
 
 
@@ -247,7 +256,7 @@ def test_canonical_graph_is_the_minimum_full_trace():
                 if closed:
                     _close_stub_paths(state)
                     state = reduce_graph(state)
-                nodes = max(nodes, len(state.rotations))
+                nodes = max(nodes, len(state.nodes))
                 assert canonical_graph(state) == plain_canonical(state), code
     assert nodes >= 4
 
@@ -281,8 +290,82 @@ def test_canonical_graph_orders_two_digit_ids_as_strings():
                 if closed:
                     _close_stub_paths(state)
                     state = reduce_graph(state)
-                if len(state.rotations) >= 11:
+                if len(state.nodes) >= 11:
                     keys = canonical_graph(state)
                     assert keys == plain_canonical(state), code
                     two_digit += any(t.startswith("10.") for k in keys for t in k.split(","))
     assert two_digit >= 1000
+
+
+def reference_bigons(state) -> list[tuple[int, int]]:
+    """The nodes (u, v) of every reducible bigon, by the pairwise criterion.
+
+    Edges are grouped by the two nodes they join, and every pair of edges
+    between the same nodes is tried: it bounds a reducible bigon when the
+    two edges sit cyclically adjacent at both nodes, in opposite relative
+    order.  Slots are read off each node's rotation list by position.
+    """
+    edges_between: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for p, q in state.partner.items():
+        if 0 <= p < q and p >> 2 != q >> 2:
+            (u, pu), (v, pv) = sorted([(p >> 2, p), (q >> 2, q)])
+            edges_between.setdefault((u, v), []).append((pu, pv))
+    found = []
+    for (u, v), pairs in edges_between.items():
+        rot_u = [4 * u + slot for slot in range(4)]
+        rot_v = [4 * v + slot for slot in range(4)]
+        for (u1, v1), (u2, v2) in itertools.combinations(pairs, 2):
+            order_u = (rot_u.index(u2) - rot_u.index(u1)) % 4
+            order_v = (rot_v.index(v2) - rot_v.index(v1)) % 4
+            if order_u in (1, 3) and order_v in (1, 3) and order_u != order_v:
+                found.append((u, v))
+    return found
+
+
+def reduce_by_last_bigon(state) -> int:
+    """Splice the reference's last bigon until none is left; the splice count."""
+    splices = 0
+    while bigons := reference_bigons(state):
+        _splice(state, *bigons[-1])
+        splices += 1
+    return splices
+
+
+def test_bigon_search_matches_pairwise_reference():
+    """``_find_bigon`` finds a bigon exactly when the pairwise criterion does,
+    and reducing by the reference's last bigon instead of the first one found
+    leaves the same graph, circles and segments: the reduced graph does not
+    depend on the splice order."""
+    rng = random.Random(78)
+    codes = [random_code(rng, rng.randint(4, 10), loops=rng.randint(0, 3)) for _ in range(40)]
+    codes += [random_multi_code(rng, rng.randint(4, 10), empty=i % 2 == 0) for i in range(40)]
+    codes += [virtual_closure(random_code(rng, rng.randint(4, 10))) for _ in range(20)]
+
+    def check(state) -> None:
+        assert (_find_bigon(state) is None) == (not reference_bigons(state)), code
+
+    several = other_order = 0
+    for code in codes:
+        for closed in (False, True):
+            for state in parity_states(code):
+                other = GraphState(set(state.nodes), dict(state.partner), state.circles, 0)
+                check(state)
+                bigons = reference_bigons(state)
+                if bigons and _find_bigon(state) not in (bigons[-1], bigons[-1][::-1]):
+                    other_order += 1
+                state = reduce_graph(state)
+                check(state)
+                splices = reduce_by_last_bigon(other)
+                if closed:
+                    _close_stub_paths(state)
+                    check(state)
+                    state = reduce_graph(state)
+                    check(state)
+                    _close_stub_paths(other)
+                    splices += reduce_by_last_bigon(other)
+                several += splices >= 2
+                assert canonical_graph(other) == canonical_graph(state), code
+                assert other.circles == state.circles, code
+                assert segments(other) == segments(state), code
+    assert several >= 300  # states that splice two or more bigons
+    assert other_order >= 200  # states whose first splice differs

@@ -141,11 +141,13 @@ def occurrences(code: KnotoidCode) -> dict[str, list[tuple[int, int]]]:
 
 def label_order(code: KnotoidCode) -> list[str]:
     """Crossing labels in order of first occurrence."""
-    seen: list[str] = []
+    seen: set[str] = set()
+    order = []
     for _, _, passage in code.all_passages():
         if passage.label not in seen:
-            seen.append(passage.label)
-    return seen
+            seen.add(passage.label)
+            order.append(passage.label)
+    return order
 
 
 def validate(code: KnotoidCode) -> None:
@@ -284,25 +286,21 @@ def classify_crossings(code: KnotoidCode) -> list[CrossingInfo]:
     self passages pair up).
     """
     occ = occurrences(code)
+    # Per component, before[i]: the self-crossing passages before position i.
+    before = []
+    for ci, comp in enumerate(code.components):
+        counts = [0]
+        for q in comp.passages:
+            (c1, _), (c2, _) = occ[q.label]
+            counts.append(counts[-1] + (c1 == c2 == ci))
+        before.append(counts)
     infos = []
-    for label in label_order(code):
-        (c1, p1), (c2, p2) = occ[label]
+    for label, ((c1, p1), (c2, p2)) in occ.items():  # labels by first occurrence
         sign = code.components[c1].passages[p1].sign
         if c1 != c2:
-            infos.append(CrossingInfo(label, sign, LINK, ((c1, p1), (c2, p2))))
-            continue
-        comp = code.components[c1]
-        self_labels = {
-            q.label
-            for q in comp.passages
-            if occ[q.label][0][0] == occ[q.label][1][0] == c1
-        }
-        between = sum(
-            1
-            for i in range(p1 + 1, p2)
-            if comp.passages[i].label in self_labels
-        )
-        parity = ODD if between % 2 else EVEN
+            parity = LINK
+        else:
+            parity = ODD if (before[c1][p2] - before[c1][p1 + 1]) % 2 else EVEN
         infos.append(CrossingInfo(label, sign, parity, ((c1, p1), (c2, p2))))
     return infos
 

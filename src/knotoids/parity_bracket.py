@@ -7,9 +7,12 @@ polynomial coefficient, keyed up to relabeling by a traversal canonical
 form, the least string trace over the admissible starts.  Traces are
 followed as small ints ranked to order as their strings do, each is cut
 short once it passes the best so far, and only the winner is rendered to
-its string.  A state contributes A^(n(S)) d^(components-1), counting
-surviving graphs, plain circles and the long segment alike, so that
-all-even inputs reproduce the ordinary bracket exactly.
+its string.  Where every port is a start (no stubs), only the starts whose
+first strand reads least up to its first revisit are traced: every trace
+begins with that signature, and no signature is a prefix of another.  A
+state contributes A^(n(S)) d^(components-1), counting surviving graphs,
+plain circles and the long segment alike, so that all-even inputs
+reproduce the ordinary bracket exactly.
 
 The state sum is a projection of ``CompiledCode.frontier``: only the even
 crossings are smoothed, so the four ports of every node stay boundary
@@ -271,6 +274,24 @@ def canonical_graph(state: GraphState) -> list[str]:
     lists compare as the joined strings.  A trace is cut short once it is
     greater than the best trace so far, which leaves the minimum
     unchanged, and only each component's winner is rendered to a string.
+
+    In a stub-free component, where every port is a start, only the starts
+    whose signature is least are traced.  A start's signature is its first
+    strand up to and including the first revisit of a node, or to the
+    close ``C`` if the strand repeats no node.  This never drops the winner:
+
+    - Before its first revisit, every start reads the same tokens, ``S``,
+      ``ranks[0]``, ``ranks[1]``, ..., since each new node is entered at
+      offset 0.
+    - A revisit token is ``ranks[id] + offset`` with offset 1-3, since a
+      strand enters no port twice before it closes.
+    - So a revisit token is never a multiple of 4, and equals neither a
+      new node's token ``ranks[k]`` nor ``C``.
+    - Hence no signature is a prefix of another, and a start with a greater
+      signature has a strictly greater trace.
+
+    Ranks keep the string order (``"10" < "2"``), so signatures compare as
+    token lists, never by length.
     """
     partner = state.partner
     by_string = sorted(range(len(state.nodes)), key=str)
@@ -300,7 +321,7 @@ def canonical_graph(state: GraphState) -> list[str]:
                     local[far] = 4 * len(members)
                     members.append(far)
                 succ.append(local[far] + slot)
-        starts = [~p for p, q in enumerate(succ) if q < 0] or range(len(succ))
+        starts = [~p for p, q in enumerate(succ) if q < 0] or _least_signatures(succ, ranks, top)
         best = list(_trace(succ, ranks, top, starts[0]))
         for start in starts[1:]:
             best = _least(_trace(succ, ranks, top, start), best)
@@ -309,6 +330,48 @@ def canonical_graph(state: GraphState) -> list[str]:
             for tok in best
         ))
     return sorted(encodings)
+
+
+def _least_signatures(succ, ranks, top) -> list[int]:
+    """The ports of a stub-free component whose traces start least.
+
+    A start's signature is ``S``, ``ranks[0]`` to ``ranks[m - 1]`` and
+    ``tok``, the first revisit or ``C``.  It leaves the run of new nodes
+    at token ``m``, below ``ranks[m]`` or above it: one that leaves below
+    is the lesser the sooner it leaves, and one that leaves above the
+    later, so the key ``(0, m, tok)`` or ``(1, -m, tok)`` orders the
+    signatures as their token lists.  Each start walks its first strand
+    only until its signature is known, or until it reaches a new node at
+    the token where the best so far left below.
+    """
+    ranks = [*ranks, top]  # m may be every node; a close is not below that
+    nodes = len(succ) >> 2
+    walk = [-1] * nodes  # the start whose walk entered the node last
+    index = [0] * nodes  # the node's place in that walk
+    entered = [0] * nodes  # the port that walk first entered it by
+    best, kept = (2,), []  # (2,) is above every key
+    for x in range(len(succ)):
+        m, q, tok = 0, succ[x], None
+        while tok is None:
+            node = q >> 2
+            if walk[node] == x:
+                tok = ranks[index[node]] + ((q - entered[node]) & 3)
+            elif best[0] == 0 and best[1] == m:
+                break  # this start goes on above the best: it is greater
+            else:
+                walk[node], index[node], entered[node] = x, m, q
+                m += 1
+                if q == x ^ 2:
+                    tok = top  # C
+                q = succ[q ^ 2]
+        if tok is None:
+            continue
+        key = (0, m, tok) if tok < ranks[m] else (1, -m, tok)
+        if key < best:
+            best, kept = key, [x]
+        elif key == best:
+            kept.append(x)
+    return kept
 
 
 def _trace(succ, ranks, top, start):

@@ -177,7 +177,9 @@ class CompiledCode:
         crossings outside ``smooth`` are never retired.  The greedy pass is
         run from every first crossing, and the order with the narrowest
         widest boundary (then the least total 2**width) is kept.  Ties go
-        to the lowest crossing index, so the order is deterministic.
+        to the lowest crossing index, so the order is deterministic.  A
+        pass stops once its ``(peak, cost)`` reaches the best so far: both
+        only grow, and only a strictly smaller key replaces the best.
         """
         n = self.n
         crossings = list(range(n)) if smooth is None else sorted(smooth)
@@ -203,13 +205,14 @@ class CompiledCode:
                 width += delta[k]
                 peak = max(peak, width)
                 cost += 1 << width
+                if best is not None and (peak, cost) >= best[0]:
+                    break  # both only grow, so this start cannot win
                 for f in links[k]:
                     delta[f] -= 2  # that arc now leads into the smoothed region
                 if not todo:
+                    best = ((peak, cost), order)
                     break
                 k = min(todo, key=delta.__getitem__)
-            if best is None or (peak, cost) < best[0]:
-                best = ((peak, cost), order)
         return best[1] if best else []
 
     def contract(self, want_words: bool) -> dict[tuple[int, int, tuple, tuple], int]:

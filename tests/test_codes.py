@@ -21,7 +21,7 @@ from knotoids.errors import (
     ShapeError,
     SignMismatch,
 )
-from helpers import random_code
+from helpers import random_code, random_multi_code
 
 FIG1G = "open: OA+ OB+ UC+ UD+ UA+ OE+ UF+ OD+ UB+ UE+ OF+ OC+"
 
@@ -114,6 +114,36 @@ def test_reverse_preserves_parity():
         before = {i.label: i.parity for i in classify_crossings(code)}
         after = {i.label: i.parity for i in classify_crossings(reverse(code))}
         assert before == after
+
+
+def test_classify_counts_self_passages_between_occurrences():
+    """``classify_crossings`` against its definition, read off the code
+    afresh for every crossing: link when the two passages lie on different
+    components, else the parity of the self-crossing passages between them."""
+    rng = random.Random(7)
+    codes = [random_code(rng, rng.randint(0, 14), loops=rng.randint(0, 3)) for _ in range(60)]
+    codes += [random_multi_code(rng, rng.randint(0, 14), empty=i % 2 == 0) for i in range(60)]
+    kinds = set()
+    for code in codes:
+        where = {}
+        for ci, comp in enumerate(code.components):
+            for pi, passage in enumerate(comp.passages):
+                where.setdefault(passage.label, []).append((ci, pi))
+        expected = []
+        for label, ((c1, p1), (c2, p2)) in where.items():
+            comp = code.components[c1]
+            if c1 != c2:
+                parity = "link"
+            else:
+                between = [comp.passages[i].label for i in range(p1 + 1, p2)]
+                selfs = sum(where[b][0][0] == where[b][1][0] for b in between)
+                parity = "odd" if selfs % 2 else "even"
+            sign = comp.passages[p1].sign
+            expected.append((label, sign, parity, ((c1, p1), (c2, p2))))
+        got = [(i.label, i.sign, i.parity, i.positions) for i in classify_crossings(code)]
+        assert got == expected, code
+        kinds |= {i[2] for i in got}
+    assert kinds == {"even", "odd", "link"}
 
 
 def test_classify_fig1g():

@@ -8,7 +8,15 @@ from knotoids.arrow import arrow_polynomial
 from knotoids.bracket import bracket, bracket_oracle
 from knotoids.catalog import load_catalog
 from knotoids.closures import virtual_closure
-from knotoids.codes import OPEN, ComponentCode, KnotoidCode, parse, spiral
+from knotoids.codes import (
+    EVEN,
+    OPEN,
+    ComponentCode,
+    KnotoidCode,
+    classify_crossings,
+    parse,
+    spiral,
+)
 from knotoids.smoothing import CompiledCode
 from helpers import random_code, random_multi_code
 
@@ -94,6 +102,61 @@ def test_contraction_order_is_a_permutation():
         assert sorted(compiled.contraction_order()) == list(range(compiled.n))
         subset = [k for k in range(compiled.n) if rng.random() < 0.5]
         assert sorted(compiled.contraction_order(subset)) == subset
+
+
+def uncut_order(compiled: CompiledCode, smooth=None) -> list[int]:
+    """``contraction_order`` with every greedy pass run to its end."""
+    n = compiled.n
+    crossings = list(range(n)) if smooth is None else sorted(smooth)
+    links: list[list[int]] = [[] for _ in range(n)]
+    start_delta = [0] * n
+    for k in crossings:
+        a, b = compiled.cross_over[k], compiled.cross_under[k]
+        for e in (2 * a, 2 * a + 1, 2 * b, 2 * b + 1):
+            far = compiled.crossing_of(compiled.arc_end(e))
+            if far != k:
+                start_delta[k] += 1
+                if far in crossings:
+                    links[k].append(far)
+    best = None
+    for first in crossings:
+        delta = start_delta[:]
+        todo = crossings[:]
+        order, width, peak, cost = [], 0, 0, 0
+        k = first
+        while True:
+            todo.remove(k)
+            order.append(k)
+            width += delta[k]
+            peak = max(peak, width)
+            cost += 1 << width
+            for f in links[k]:
+                delta[f] -= 2
+            if not todo:
+                break
+            k = min(todo, key=delta.__getitem__)
+        if best is None or (peak, cost) < best[0]:
+            best = ((peak, cost), order)
+    return best[1] if best else []
+
+
+def test_cut_passes_keep_the_uncut_order():
+    """Stopping a greedy pass once it reaches the best key changes no order,
+    over all crossings and over the even-crossing subsets that the parity
+    bracket smooths."""
+    rng = random.Random(48)
+    codes = [random_code(rng, rng.randint(0, 24), loops=rng.randint(0, 2)) for _ in range(60)]
+    codes += [random_multi_code(rng, rng.randint(0, 16), empty=i % 2 == 0) for i in range(60)]
+    codes += [spiral(k, "+" * (2 * k)) for k in range(1, 7)]
+    codes += [entry.code for entry in load_catalog()]
+    subsets = 0
+    for code in codes:
+        compiled = CompiledCode(code)
+        assert compiled.contraction_order() == uncut_order(compiled), code
+        even = [compiled.index_of[i.label] for i in classify_crossings(code) if i.parity == EVEN]
+        assert compiled.contraction_order(even) == uncut_order(compiled, even), code
+        subsets += 0 < len(even) < compiled.n
+    assert subsets >= 60
 
 
 def test_wide_packing_with_many_components():

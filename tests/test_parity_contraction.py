@@ -5,12 +5,14 @@ frontier engine; the reference here builds, reduces and canonicalizes
 every one of the 2^e states from ``parity_states``, as the bracket's
 definition reads.  ``canonical_graph``'s cut-short int traces are checked
 against the plain minimum of full string traces from ``trace_component``,
+its pruned starts against the first-strand signatures of those traces,
 and ``_find_bigon`` against the pairwise bigon criterion of
 ``reference_bigons``.
 """
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -33,6 +35,7 @@ from knotoids.parity_bracket import (
     ParityBracketValue,
     _close_stub_paths,
     _find_bigon,
+    _least_signatures,
     _splice,
     canonical_graph,
     flat_parity_bracket,
@@ -295,6 +298,67 @@ def test_canonical_graph_orders_two_digit_ids_as_strings():
                     assert keys == plain_canonical(state), code
                     two_digit += any(t.startswith("10.") for k in keys for t in k.split(","))
     assert two_digit >= 1000
+
+
+def first_strand_signature(trace: str) -> list[str]:
+    """A full string trace's tokens up to its first revisit or ``C``.
+
+    A revisit is a visit at a nonzero offset; a first visit is at ``.0``.
+    """
+    tokens = trace.split(",")
+    end = next(i for i, tok in enumerate(tokens) if tok == "C" or tok[-2:] in (".1", ".2", ".3"))
+    return tokens[: end + 1]
+
+
+def test_signature_pruning_keeps_the_least_trace(monkeypatch):
+    """In stub-free components ``canonical_graph`` traces only the starts
+    of least first-strand signature.  Every dropped start's full string
+    trace is strictly greater than the minimum, a kept one attains it, and
+    the kept starts are exactly those of least signature, read off the
+    string traces.  The states are those of ``closed=True``, of loop-only
+    closures, and components of 11 or more nodes from the 16-20 crossing
+    classes, where ids ``10`` and up order before ``2`` as strings."""
+    calls = []
+
+    def spy(succ, ranks, top):
+        kept = _least_signatures(succ, ranks, top)
+        calls.append((succ, kept))
+        return kept
+
+    monkeypatch.setattr(sys.modules[canonical_graph.__module__], "_least_signatures", spy)
+    rng = random.Random(79)
+    for _ in range(60):
+        code = random_code(rng, rng.randint(4, 10), loops=rng.randint(0, 2))
+        parity_bracket(code, closed=True)
+        parity_bracket(virtual_closure(code))
+    small = len(calls)
+    for _ in range(12):
+        n = rng.randint(16, 20)
+        even = rng.choice([e for e in (6, 7, 8) if (n - e) % 2 == 0])
+        code = random_code(rng, n)
+        while sum(info.parity == "even" for info in classify_crossings(code)) != even:
+            code = random_code(rng, n)
+        parity_bracket(code, closed=True)
+        parity_bracket(virtual_closure(code))
+    large = [(succ, kept) for succ, kept in calls[small:] if len(succ) >= 44]
+
+    pruned = ties = 0
+    for succ, kept in calls[:small] + large:
+        component = GraphState(set(range(len(succ) >> 2)), dict(enumerate(succ)), 0, 0)
+        traces = [trace_component(component, start) for start in range(len(succ))]
+        least = min(traces)
+        dropped = set(range(len(succ))) - set(kept)
+        assert all(traces[start] > least for start in dropped), succ
+        assert least in [traces[start] for start in kept], succ
+        signatures = [first_strand_signature(trace) for trace in traces]
+        assert sorted(kept) == [
+            start for start, sig in enumerate(signatures) if sig == min(signatures)
+        ], succ
+        pruned += bool(dropped)
+        ties += len(kept) >= 2
+    assert small >= 200 and len(large) >= 300
+    assert pruned >= 0.8 * (small + len(large))
+    assert ties >= 100
 
 
 def reference_bigons(state) -> list[tuple[int, int]]:

@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent ../parent --change ../change \\
         --workloads walk statesum parity cli --seeds 7001-7010 \\
-        --claim statesum:ops_per_s --out BENCH_7.json
+        --claim statesum:ops_per_s --traced-seed 9 --out BENCH_7.json
 
 Both directories are checkouts of the repository (for example made with
 ``git archive``).  For each workload, pair ``i`` runs
@@ -17,7 +17,9 @@ nothing under ``perfbench/`` is changed.  Every finished run is written to
 end-to-end metric, the quartiles of each side
 (``statistics.quantiles(n=4, method='inclusive')``), the pairs the change
 won, and ``change_worse_by``: the relative gap of the medians, positive
-when the change is worse.
+when the change is worse.  With ``--traced-seed S``, each checkout also runs
+one ``--trace 1`` replay of seed ``S`` per workload, and the summary keeps
+its per-layer metrics, its ``unwrapped`` list and its outputs digest.
 """
 
 from __future__ import annotations
@@ -43,16 +45,30 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_once(root: Path, workload: str, seed: int) -> dict:
+def run_once(root: Path, workload: str, seed: int, trace: int = 0) -> dict:
     """One benchmark run; its result line, details line, or the failure."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
+            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or len(lines) < 2:
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
     return {"detail": json.loads(lines[-2]), "result": json.loads(lines[-1])}
+
+
+def traced(root: Path, workload: str, seed: int) -> dict:
+    """The per-layer metrics of one traced replay, or its failure."""
+    record = run_once(root, workload, seed, trace=1)
+    if "error" in record:
+        return record
+    detail = record["detail"]
+    return {
+        "metrics": {k: v["value"] for k, v in record["result"]["metrics"].items()},
+        "unwrapped": detail["unwrapped"],
+        "outputs_digest": detail["outputs_digest"],
+        "correct": record["result"]["correct"],
+    }
 
 
 def quartiles(values: list[float]) -> dict:
@@ -143,6 +159,8 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC the change claims to improve")
     parser.add_argument("--target", default="win at least 9 of 10 pairs, median gap larger than the parent's IQR")
     parser.add_argument("--note", action="append", default=[], help="KEY=TEXT, added to the summary")
+    parser.add_argument("--traced-seed", type=int, default=None,
+                        help="also run one --trace 1 replay of this seed per side and workload")
     args = parser.parse_args(argv)
 
     log = args.out.with_name(args.out.name + ".runs.jsonl")
@@ -175,6 +193,12 @@ def main(argv=None) -> int:
         "machine": {k: machine[k] for k in sorted(machine)},
         "workloads": summarize(specs, records, args.workloads),
     }
+    if args.traced_seed is not None:
+        for workload in args.workloads:
+            summary["workloads"][workload]["traced"] = {
+                "seed": args.traced_seed,
+                **{side: traced(roots[side], workload, args.traced_seed) for side in SIDES},
+            }
     for note in args.note:
         key, _, text = note.partition("=")
         summary[key] = text

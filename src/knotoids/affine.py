@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arrow import arrow_polynomial
-from .codes import KnotoidCode, OVER, classify_crossings, label_order
+from .codes import KnotoidCode, OVER, UNDER, classify_crossings, label_order
 from .errors import ShapeError
 from .laurent import AffinePoly
 from .parity_bracket import parity_bracket
@@ -87,41 +87,44 @@ def arc_labels(code: KnotoidCode) -> list[int]:
     return labels
 
 
-def weight_chart(code: KnotoidCode) -> WeightChart:
-    """Per-crossing weights from the flat-diagram labeling."""
+def _weights(code: KnotoidCode) -> list[tuple[str, int, int, int, int]]:
+    """``(label, sign, w_plus, w_minus, w)`` of each crossing, in label order;
+    ``w`` is ``w_plus`` at a positive crossing and ``w_minus`` at a negative one."""
     labels = arc_labels(code)
-    comp = code.components[0]
     incoming: dict[tuple[str, str], int] = {}
-    for i, p in enumerate(comp.passages):
-        incoming[(p.label, p.role)] = labels[i]
-    parities = {info.label: info.parity for info in classify_crossings(code)}
-    entries = []
+    signs: dict[str, int] = {}
+    for label, p in zip(labels, code.components[0].passages):
+        incoming[(p.label, p.role)] = label
+        signs[p.label] = p.sign
+    weights = []
     for lab in label_order(code):
-        sign = next(p.sign for p in comp.passages if p.label == lab)
-        over_in = incoming[(lab, "O")]
-        under_in = incoming[(lab, "U")]
-        a, b = (over_in, under_in) if sign > 0 else (under_in, over_in)
+        over_in = incoming[(lab, OVER)]
+        under_in = incoming[(lab, UNDER)]
+        a, b = (over_in, under_in) if signs[lab] > 0 else (under_in, over_in)
         w_plus = a - (b + 1)
         w_minus = b - (a - 1)
-        entries.append(
-            WeightEntry(
-                label=lab,
-                sign=sign,
-                parity=parities[lab],
-                w_plus=w_plus,
-                w_minus=w_minus,
-                w_selected=w_plus if sign > 0 else w_minus,
-            )
-        )
-    return WeightChart(tuple(entries))
+        weights.append((lab, signs[lab], w_plus, w_minus, w_plus if signs[lab] > 0 else w_minus))
+    return weights
+
+
+def weight_chart(code: KnotoidCode) -> WeightChart:
+    """Per-crossing weights from the flat-diagram labeling, with each
+    crossing's parity class."""
+    weights = _weights(code)
+    parities = {info.label: info.parity for info in classify_crossings(code)}
+    return WeightChart(tuple(
+        WeightEntry(lab, sign, parities[lab], *ws) for lab, sign, *ws in weights
+    ))
 
 
 def affine_index(code: KnotoidCode) -> AffinePoly:
-    """P(t) = sum over crossings of sign * (t^w - 1)."""
-    chart = weight_chart(code)
+    """P(t) = sum over crossings of sign * (t^w - 1).
+
+    It reads the weights alone, never the crossings' parity classes.
+    """
     poly = AffinePoly.zero()
-    for e in chart.entries:
-        poly = poly + AffinePoly({e.w_selected: e.sign}) - AffinePoly({0: e.sign})
+    for _, sign, _, _, w in _weights(code):
+        poly = poly + AffinePoly({w: sign}) - AffinePoly({0: sign})
     return poly
 
 

@@ -33,7 +33,11 @@ def arrow_polynomial(
     code: KnotoidCode, state_limit: int = DEFAULT_STATE_LIMIT
 ) -> ArrowPoly:
     """Sum over oriented states of A^(i-j) d^(components-1) <S-hat>."""
-    compiled = CompiledCode(code)
+    return _arrow(CompiledCode(code), state_limit)
+
+
+def _arrow(compiled: CompiledCode, state_limit: int) -> ArrowPoly:
+    """The arrow polynomial of a compiled diagram."""
     if compiled.n > state_limit:
         raise LimitExceeded(f"{compiled.n} crossings exceed the state limit {state_limit}")
     by_monomial: dict[tuple[tuple, tuple], dict[tuple[int, int], int]] = {}

@@ -15,16 +15,20 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 
-from .codes import KnotoidCode, classify_crossings, evenly_intersticed, parse
+from .codes import (
+    EVEN, LINK, CrossingInfo, KnotoidCode, _evenly_intersticed, classify_crossings, parse,
+)
 from .affine import affine_index
-from .arrow import arrow_polynomial
+from .arrow import _arrow
 from .bracket import writhe
 from .closures import HeightBound, carter_genus, check_height_shape, declared_height_interval
-from .errors import UnknownEntry
+from .errors import CodeSyntaxError, UnknownEntry
 from .laurent import LaurentA, writhe_normalize
-from .parity import odd_writhe
-from .parity_bracket import FlatParityValue, normalize_parity, parity_bracket
-from .smoothing import DEFAULT_STATE_LIMIT
+from .parity import OddWritheReport
+from .parity_bracket import FlatParityValue, _parity_bracket, normalize_parity
+from .smoothing import CompiledCode, DEFAULT_STATE_LIMIT
+
+_DATA = resources.files(__package__) / "data"
 
 
 @dataclass(frozen=True)
@@ -85,36 +89,56 @@ def _entry_from_text(text: str) -> CatalogEntry:
 
 def load_catalog() -> list[CatalogEntry]:
     """All bundled entries, sorted by id."""
-    entries = []
-    root = resources.files("knotoids").joinpath("data")
-    for item in sorted(root.iterdir(), key=lambda p: p.name):
-        if item.name.endswith(".knotoid"):
-            entries.append(_entry_from_text(item.read_text()))
+    entries = [
+        _entry_from_text(item.read_text())
+        for item in _DATA.iterdir()
+        if item.name.endswith(".knotoid")
+    ]
     return sorted(entries, key=lambda e: e.id)
 
 
 def catalog_entry(entry_id: str) -> CatalogEntry:
-    for entry in load_catalog():
-        if entry.id == entry_id:
-            return entry
-    raise UnknownEntry(f"no catalog entry {entry_id!r}")
+    """The entry ``entry_id``, read from its own file ``<entry_id>.knotoid``.
+
+    Only a name in the data directory's listing is read, so an id that is
+    a path, such as ``../data/fig1g``, is unknown.
+    """
+    name = f"{entry_id}.knotoid"
+    if name not in {item.name for item in _DATA.iterdir()}:
+        raise UnknownEntry(f"no catalog entry {entry_id!r}")
+    return _entry_from_text((_DATA / name).read_text())
 
 
 @dataclass
 class Invariants:
     """The invariants of one diagram, each computed on first use.
 
-    At most one arrow polynomial, one parity bracket and one affine index
-    are computed.  The bracket is the arrow's coefficient sum, and the flat
-    parity bracket is the parity bracket at A = -1.
+    One ``CompiledCode`` serves the arrow polynomial and the parity
+    bracket, and one crossing classification serves the parity bracket,
+    the odd writhe, evenly-intersticed and the parity label lists.  The
+    bracket is the arrow's coefficient sum, and the flat parity bracket is
+    the parity bracket at A = -1.  ``record[key]`` is the value named
+    ``key`` in ``VALUES``, which the catalog and the CLI both read.
     """
 
     code: KnotoidCode
     state_limit: int = DEFAULT_STATE_LIMIT
 
     @cached_property
+    def compiled(self) -> CompiledCode:
+        return CompiledCode(self.code)
+
+    @cached_property
+    def crossings(self) -> list[CrossingInfo]:
+        return classify_crossings(self.code)
+
+    @cached_property
+    def odd(self) -> OddWritheReport:
+        return OddWritheReport.of(self.crossings)
+
+    @cached_property
     def arrow(self):
-        return arrow_polynomial(self.code, self.state_limit)
+        return _arrow(self.compiled, self.state_limit)
 
     @cached_property
     def bracket(self):
@@ -122,71 +146,61 @@ class Invariants:
 
     @cached_property
     def parity(self):
-        return parity_bracket(self.code, self.state_limit)
-
-    @cached_property
-    def flat_parity(self):
-        return FlatParityValue.of(self.parity)
+        return _parity_bracket(self.compiled, self.crossings, self.state_limit)
 
     @cached_property
     def affine(self):
         return affine_index(self.code)
 
+    @cached_property
+    def height(self) -> HeightBound:
+        check_height_shape(self.code)
+        return HeightBound.of(self.code, self.affine, self.arrow)
+
+    def labels(self, parity: str) -> str:
+        """The labels of the crossings of one parity class, sorted and comma-joined."""
+        return ",".join(sorted(i.label for i in self.crossings if i.parity == parity))
+
+    def __getitem__(self, key: str):
+        if key not in VALUES:
+            raise CodeSyntaxError(f"unknown invariant key {key!r}")
+        return VALUES[key](self)
+
+
+# The named values of a diagram, each an int, a bool or a rendered string.
+VALUES = {
+    "writhe": lambda v: writhe(v.code),
+    "odd_writhe": lambda v: v.odd.value,
+    "odd_set": lambda v: ",".join(sorted(v.odd.odd_crossings)),
+    "parity_even": lambda v: v.labels(EVEN),
+    "parity_link": lambda v: v.labels(LINK),
+    "evenly_intersticed": lambda v: _evenly_intersticed(v.code, v.crossings),
+    "bracket": lambda v: v.bracket.render(),
+    "normalized_bracket": lambda v: writhe_normalize(v.bracket, writhe(v.code)).render(),
+    "arrow": lambda v: v.arrow.render(),
+    "normalized_arrow": lambda v: writhe_normalize(v.arrow, writhe(v.code)).render(),
+    "k_degree": lambda v: v.arrow.k_degree(),
+    "lambda_degree": lambda v: v.arrow.lambda_degree(),
+    "parity_bracket": lambda v: v.parity.render(),
+    "normalized_parity_bracket": lambda v: normalize_parity(v.parity, writhe(v.code)).render(),
+    "parity_plain": lambda v: v.parity.plain.render(),
+    "parity_graphical_count": lambda v: len(v.parity.graphical),
+    "parity_graphical_unit": lambda v: list(v.parity.graphical.values()) == [LaurentA.one()],
+    "flat_parity_trivial": lambda v: FlatParityValue.of(v.parity).is_trivial(),
+    "affine": lambda v: v.affine.render(),
+    "affine_max_degree": lambda v: v.affine.max_degree(),
+    "affine_symmetric": lambda v: v.affine.is_symmetric(),
+    "genus": lambda v: carter_genus(v.code),
+    "height_lower": lambda v: v.height.lower,
+}
+
 
 def compute_invariant(values: Invariants, key: str) -> str:
     """Render the named invariant in the catalog's exact format."""
-    code = values.code
-    if key == "writhe":
-        return str(writhe(code))
-    if key == "odd_writhe":
-        return str(odd_writhe(code).value)
-    if key == "odd_set":
-        return ",".join(sorted(odd_writhe(code).odd_crossings))
-    if key in ("parity_even", "parity_link"):
-        wanted = "even" if key == "parity_even" else "link"
-        labels = [i.label for i in classify_crossings(code) if i.parity == wanted]
-        return ",".join(sorted(labels))
-    if key == "evenly_intersticed":
-        return "true" if evenly_intersticed(code) else "false"
-    if key == "bracket":
-        return values.bracket.render()
-    if key == "normalized_bracket":
-        return writhe_normalize(values.bracket, writhe(code)).render()
-    if key == "affine":
-        return values.affine.render()
-    if key == "affine_max_degree":
-        return str(values.affine.max_degree())
-    if key == "affine_symmetric":
-        return "true" if values.affine.is_symmetric() else "false"
-    if key == "arrow":
-        return values.arrow.render()
-    if key == "normalized_arrow":
-        return writhe_normalize(values.arrow, writhe(code)).render()
-    if key == "k_degree":
-        return str(values.arrow.k_degree())
-    if key == "lambda_degree":
-        return str(values.arrow.lambda_degree())
-    if key == "genus":
-        return str(carter_genus(code))
-    if key == "height_lower":
-        check_height_shape(code)
-        return str(HeightBound.of(code, values.affine, values.arrow).lower)
-    if key == "parity_plain":
-        return values.parity.plain.render()
-    if key == "parity_graphical_count":
-        return str(len(values.parity.graphical))
-    if key == "parity_graphical_unit":
-        graphical = values.parity.graphical
-        return (
-            "true"
-            if len(graphical) == 1 and all(v == LaurentA.one() for v in graphical.values())
-            else "false"
-        )
-    if key == "normalized_parity_plain":
-        return normalize_parity(values.parity, writhe(code)).plain.render()
-    if key == "flat_parity_trivial":
-        return "true" if values.flat_parity.is_trivial() else "false"
-    raise KeyError(f"unknown invariant key {key!r}")
+    value = values[key]
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
 def verify_entry(

@@ -14,30 +14,28 @@ import sys
 import time
 
 from . import (
-    affine_index,
     applicable_moves,
-    arrow_polynomial,
-    carter_genus,
-    classify_crossings,
-    evenly_intersticed,
     height_bounds,
     normalized_bracket,
-    odd_writhe,
     parse,
     random_walk,
     serialize,
     virtual_closure,
     weight_chart,
-    writhe,
-    writhe_normalize,
 )
 from .affine import VirtualityReport
 from .codes import KnotoidCode
 from .catalog import Invariants, catalog_entry, load_catalog, verify_entry
-from .closures import HeightBound
 from .errors import BadArgument, InputFileError, KnotoidError, ShapeError
-from .parity_bracket import normalize_parity, parity_bracket
 from .smoothing import DEFAULT_STATE_LIMIT
+
+ARROW_KEYS = ("arrow", "normalized_arrow", "k_degree", "lambda_degree")
+# The record's values that ``invariants`` reports, in report order.
+INVARIANTS_KEYS = (
+    "writhe", "odd_writhe", "bracket", "normalized_bracket", *ARROW_KEYS,
+    "parity_bracket", "normalized_parity_bracket", "flat_parity_trivial",
+    "affine", "affine_symmetric", "genus", "evenly_intersticed",
+)
 
 
 def _echo(code: KnotoidCode) -> list[str]:
@@ -123,6 +121,7 @@ def _run(args) -> int:
         return 0
 
     report: dict = {"input": _echo(code)}
+    values = Invariants(code, limit)
 
     if args.command == "bracket":
         rep = normalized_bracket(code, limit)
@@ -135,43 +134,33 @@ def _run(args) -> int:
             report |= {"bracket_terms": rep.raw.to_json(),
                        "normalized_terms": rep.normalized.to_json()}
     elif args.command == "arrow":
-        poly = arrow_polynomial(code, limit)
-        report |= {
-            "arrow": poly.render(),
-            "normalized_arrow": writhe_normalize(poly, writhe(code)).render(),
-            "k_degree": poly.k_degree(),
-            "lambda_degree": poly.lambda_degree(),
-        }
+        report |= {key: values[key] for key in ARROW_KEYS}
         if args.format == "json":
-            report["arrow_terms"] = poly.to_json()
+            report["arrow_terms"] = values.arrow.to_json()
     elif args.command == "affine":
-        poly = affine_index(code)
-        chart = weight_chart(code)
         report |= {
-            "affine": poly.render(),
-            "max_degree": poly.max_degree(),
-            "symmetric": poly.is_symmetric(),
-            "weights": chart.to_json() if args.format == "json"
-            else chart.render().splitlines(),
+            "affine": values["affine"],
+            "max_degree": values["affine_max_degree"],
+            "symmetric": values["affine_symmetric"],
         }
+        chart = weight_chart(code)
+        report["weights"] = chart.to_json() if args.format == "json" else chart.render().splitlines()
     elif args.command == "parity-bracket":
-        value = parity_bracket(code, limit)
         report |= {
-            "parity_bracket": value.render(),
-            "normalized": normalize_parity(value, writhe(code)).render(),
-            "graphical_count": len(value.graphical),
+            "parity_bracket": values["parity_bracket"],
+            "normalized": values["normalized_parity_bracket"],
+            "graphical_count": values["parity_graphical_count"],
         }
         if args.format == "json":
-            report["parity_terms"] = value.to_json()
+            report["parity_terms"] = values.parity.to_json()
     elif args.command == "odd-writhe":
-        rep = odd_writhe(code)
         report |= {
-            "odd_writhe": rep.value,
-            "odd_crossings": sorted(rep.odd_crossings),
-            "parity": {i.label: i.parity for i in classify_crossings(code)},
+            "odd_writhe": values["odd_writhe"],
+            "odd_crossings": sorted(values.odd.odd_crossings),
+            "parity": {i.label: i.parity for i in values.crossings},
         }
     elif args.command == "genus":
-        report["genus"] = carter_genus(code)
+        report["genus"] = values["genus"]
     elif args.command == "closure":
         closed = virtual_closure(code)
         report |= {
@@ -179,52 +168,27 @@ def _run(args) -> int:
             "normalized_bracket": normalized_bracket(closed, limit).normalized.render(),
         }
     elif args.command == "height-bounds":
-        bound = height_bounds(code, limit)
-        report |= bound.to_json()
+        report |= height_bounds(code, limit).to_json()
     elif args.command == "invariants":
-        w = writhe(code)
-        values = Invariants(code, limit)
-        arrow, parity = values.arrow, values.parity
-        ow = odd_writhe(code)
-        report |= {
-            "writhe": w,
-            "odd_writhe": ow.value,
-            "bracket": values.bracket.render(),
-            "normalized_bracket": writhe_normalize(values.bracket, w).render(),
-            "arrow": arrow.render(),
-            "normalized_arrow": writhe_normalize(arrow, w).render(),
-            "k_degree": arrow.k_degree(),
-            "lambda_degree": arrow.lambda_degree(),
-            "parity_bracket": parity.render(),
-            "normalized_parity_bracket": normalize_parity(parity, w).render(),
-            "flat_parity_trivial": values.flat_parity.is_trivial(),
-        }
-        try:
-            affine = values.affine
-            report |= {"affine": affine.render(), "affine_symmetric": affine.is_symmetric()}
-        except ShapeError:
-            affine = report["affine"] = None
-        try:
-            report["genus"] = carter_genus(code)
-        except ShapeError:
-            report["genus"] = None
-        try:
-            report["evenly_intersticed"] = evenly_intersticed(code)
-        except ShapeError:
-            report["evenly_intersticed"] = None
+        for key in INVARIANTS_KEYS:
+            try:
+                report[key] = values[key]
+            except ShapeError:  # affine, genus, evenly-intersticed: undefined for the shape
+                report[key] = None
+        if report["affine"] is None:
+            del report["affine_symmetric"]
         standard = code.is_standard_knotoid()
-        bound = HeightBound.of(code, affine, arrow) if standard else None
-        report["height_bounds"] = bound.to_json() if standard else None
-        proper = []
-        if ow.value != 0:
-            proper.append("nonzero odd writhe")
-        if report.get("affine") not in (None, "0"):
-            proper.append("nonzero affine index")
-        if arrow.lambda_degree() > 0:
-            proper.append("positive Lambda-degree")
-        report["proper_evidence"] = proper
+        report["height_bounds"] = values.height.to_json() if standard else None
+        evidence = {
+            "nonzero odd writhe": report["odd_writhe"] != 0,
+            "nonzero affine index": report["affine"] not in (None, "0"),
+            "positive Lambda-degree": report["lambda_degree"] > 0,
+        }
+        report["proper_evidence"] = [claim for claim, holds in evidence.items() if holds]
         if standard:
-            report["virtuality"] = VirtualityReport.of(affine, arrow, parity).to_json()
+            report["virtuality"] = VirtualityReport.of(
+                values.affine, values.arrow, values.parity
+            ).to_json()
         report["move_count"] = len(applicable_moves(code, max_crossings=code.crossing_count()))
     else:
         raise KnotoidError(f"unknown command {args.command!r}")
@@ -274,7 +238,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (KnotoidError, KeyError) as exc:
+    except KnotoidError as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}},
                          sort_keys=True))
         return 1

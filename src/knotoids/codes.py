@@ -307,9 +307,14 @@ def classify_crossings(code: KnotoidCode) -> list[CrossingInfo]:
 
 def evenly_intersticed(code: KnotoidCode) -> bool:
     """True when every crossing of a single open component is even."""
+    return _evenly_intersticed(code, classify_crossings(code))
+
+
+def _evenly_intersticed(code: KnotoidCode, crossings: list[CrossingInfo]) -> bool:
+    """``evenly_intersticed`` of a code whose crossings are classified."""
     if not code.is_standard_knotoid():
         raise ShapeError("evenly-intersticed is defined for one open component")
-    return all(info.parity == EVEN for info in classify_crossings(code))
+    return all(info.parity == EVEN for info in crossings)
 
 
 def spiral(n: int, signs) -> KnotoidCode:

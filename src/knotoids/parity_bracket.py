@@ -44,6 +44,7 @@ from types import MappingProxyType
 from .bracket import writhe
 from .codes import (
     EVEN,
+    CrossingInfo,
     FlatCode,
     KnotoidCode,
     ComponentCode,
@@ -486,14 +487,19 @@ def parity_bracket(
     code exactly.  A knotoid keeps strictly more information in the open
     form, so ``closed=False`` is the default.
     """
-    compiled = CompiledCode(code)
-    infos = classify_crossings(code)
-    even = [compiled.index_of[i.label] for i in infos if i.parity == EVEN]
+    return _parity_bracket(CompiledCode(code), classify_crossings(code), state_limit, closed)
+
+
+def _parity_bracket(
+    compiled: CompiledCode, crossings: list[CrossingInfo], state_limit: int, closed: bool = False
+) -> ParityBracketValue:
+    """The parity bracket of a compiled diagram whose crossings are classified."""
+    even = [compiled.index_of[i.label] for i in crossings if i.parity == EVEN]
     if len(even) > state_limit:
         raise LimitExceeded(
             f"{len(even)} even crossings exceed the state limit {state_limit}"
         )
-    nodes = sorted(compiled.index_of[i.label] for i in infos if i.parity != EVEN)
+    nodes = sorted(compiled.index_of[i.label] for i in crossings if i.parity != EVEN)
     ports = _ports(compiled, nodes)
     # Arcs that meet no even crossing join the same ends in every state:
     # node port to node port or stub, and the stubs of an empty leg.

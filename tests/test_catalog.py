@@ -1,10 +1,16 @@
 """Catalog fixtures: presence, provenance, and exact verification."""
 
+from dataclasses import replace
+from importlib import resources
+
+import pytest
+
 from knotoids.affine import affine_index
-from knotoids.arrow import arrow_polynomial
+from knotoids.arrow import _arrow
 from knotoids.catalog import catalog_entry, load_catalog, verify_entry
-from knotoids.codes import serialize, spiral
-from knotoids.parity_bracket import flat_parity_bracket, parity_bracket
+from knotoids.codes import classify_crossings, parse, serialize, spiral
+from knotoids.errors import CodeSyntaxError
+from knotoids.parity_bracket import _parity_bracket, flat_parity_bracket
 from knotoids.smoothing import CompiledCode
 from helpers import count_calls
 
@@ -56,20 +62,22 @@ def test_verify_computes_each_state_sum_once(monkeypatch):
     # fig1g expects arrow, k_degree, lambda_degree and height_lower, which all
     # read one arrow polynomial, and affine, affine_max_degree and height_lower.
     # fig15_k1, kink and trivial also expect the bracket, which is the arrow's
-    # coefficient sum, so no bracket state sum (contract(False)) runs.
+    # coefficient sum, so no bracket state sum (contract(False)) runs.  The
+    # record runs the arrow and the parity bracket through their steps on a
+    # compiled diagram, ``_arrow`` and ``_parity_bracket``.
     calls = []
-    for fn in (arrow_polynomial, affine_index, parity_bracket, flat_parity_bracket):
+    for fn in (_arrow, affine_index, _parity_bracket, flat_parity_bracket):
         count_calls(monkeypatch, calls, fn)
     report = verify_entry(catalog_entry("fig1g"))
     assert report.ok
-    assert sorted(calls) == ["affine_index", "arrow_polynomial", "parity_bracket"]
+    assert sorted(calls) == ["_arrow", "_parity_bracket", "affine_index"]
 
     # These expect flat_parity_trivial, which is the parity bracket at A = -1,
     # and most of them a parity key too: one parity state sum serves both.
     for entry_id in ("fig1g", "kink", "fig1e_trefoil", "fig18_virtual"):
         calls.clear()
         assert verify_entry(catalog_entry(entry_id)).ok, entry_id
-        assert calls.count("parity_bracket") == 1, (entry_id, calls)
+        assert calls.count("_parity_bracket") == 1, (entry_id, calls)
         assert "flat_parity_bracket" not in calls, (entry_id, calls)
 
     contract = CompiledCode.contract
@@ -80,6 +88,41 @@ def test_verify_computes_each_state_sum_once(monkeypatch):
         calls.clear()
         assert verify_entry(catalog_entry(entry_id)).ok, entry_id
         assert calls.count(False) == 0 and calls.count(True) == 1, (entry_id, calls)
+
+    # The whole catalog: each record compiles its diagram once and classifies
+    # its crossings once; the genus compiles its own diagram.
+    init, frontier = CompiledCode.__init__, CompiledCode.frontier
+    monkeypatch.setattr(
+        CompiledCode, "__init__", lambda self, code: calls.append("CompiledCode") or init(self, code)
+    )
+    monkeypatch.setattr(
+        CompiledCode, "frontier", lambda *a, **k: calls.append("frontier") or frontier(*a, **k)
+    )
+    count_calls(monkeypatch, calls, classify_crossings)
+    calls.clear()
+    for entry in load_catalog():
+        assert entry.quarantined or verify_entry(entry).ok, entry.id
+    assert calls.count("CompiledCode") <= 27, calls.count("CompiledCode")
+    assert calls.count("classify_crossings") <= 14, calls.count("classify_crossings")
+    assert calls.count("frontier") == 27
+
+
+def test_unknown_expected_key_is_a_syntax_error():
+    entry = replace(catalog_entry("kink"), expected={"no_such_invariant": "0"})
+    with pytest.raises(CodeSyntaxError, match="unknown invariant key 'no_such_invariant'"):
+        verify_entry(entry)
+
+
+def test_lookup_reads_one_file_named_after_its_id(monkeypatch):
+    data = resources.files("knotoids") / "data"
+    files = [item for item in data.iterdir() if item.name.endswith(".knotoid")]
+    assert len(files) == len(load_catalog())
+    for item in files:
+        assert parse(item.read_text()).meta["id"] + ".knotoid" == item.name
+    calls = []
+    count_calls(monkeypatch, calls, parse)
+    assert catalog_entry("fig1g").id == "fig1g"
+    assert calls == ["parse"]
 
 
 def test_quarantined_entry_documents_discrepancy():

@@ -4,10 +4,13 @@ import hashlib
 import json
 import random
 
+import pytest
+
+from knotoids import catalog
 from knotoids.affine import affine_index
 from knotoids.catalog import load_catalog
 from knotoids.cli import main
-from knotoids.codes import serialize
+from knotoids.codes import classify_crossings, serialize
 from knotoids.errors import KnotoidError
 from knotoids.parity_bracket import flat_parity_bracket
 from knotoids.smoothing import CompiledCode
@@ -77,6 +80,10 @@ def test_unknown_catalog_id_is_typed(capsys):
         "type": "UnknownEntry",
         "message": "no catalog entry 'nope'",
     }
+    # Only names in the data directory are read, never a path.
+    for entry_id in ("../data/fig1g", "fig1g.knotoid"):
+        argv = ["invariants", "--catalog", entry_id, "--format", "json"]
+        assert _error_type(capsys, argv) == "UnknownEntry"
 
 
 def test_state_limit_error(capsys):
@@ -165,6 +172,10 @@ def test_golden_invariants_on_seeded_codes(capsys):
 def test_invariants_computes_each_state_sum_once(monkeypatch, capsys):
     calls = []
 
+    def counted_init(self, code):
+        calls.append("CompiledCode")
+        init(self, code)
+
     def counted_contract(self, want_words):
         calls.append(f"contract({want_words})")
         return contract(self, want_words)
@@ -173,15 +184,32 @@ def test_invariants_computes_each_state_sum_once(monkeypatch, capsys):
         calls.append("frontier")
         return frontier(self, *args, **kwargs)
 
-    contract, frontier = CompiledCode.contract, CompiledCode.frontier
+    init, contract, frontier = CompiledCode.__init__, CompiledCode.contract, CompiledCode.frontier
+    monkeypatch.setattr(CompiledCode, "__init__", counted_init)
     monkeypatch.setattr(CompiledCode, "contract", counted_contract)
     monkeypatch.setattr(CompiledCode, "frontier", counted_frontier)
-    for fn in (affine_index, flat_parity_bracket):
+    for fn in (affine_index, flat_parity_bracket, classify_crossings):
         count_calls(monkeypatch, calls, fn)
     assert main(["invariants", "--catalog", "fig1g", "--format", "json"]) == 0
     # The arrow and the parity bracket; the bracket is read off the arrow and
-    # the flat parity bracket off the parity bracket at A = -1.
-    assert sorted(calls) == ["affine_index", "contract(True)", "frontier", "frontier"]
+    # the flat parity bracket off the parity bracket at A = -1.  Both state
+    # sums run on one compiled diagram (the genus compiles its own), and one
+    # classification serves the parity bracket, the odd writhe and
+    # evenly-intersticed; the affine index reads none.
+    assert sorted(calls) == [
+        "CompiledCode", "CompiledCode", "affine_index", "classify_crossings",
+        "contract(True)", "frontier", "frontier",
+    ]
+
+
+def test_only_typed_errors_are_reported(monkeypatch, capsys):
+    def broken(code):
+        raise KeyError("an internal fault")
+
+    monkeypatch.setattr(catalog, "carter_genus", broken)
+    with pytest.raises(KeyError, match="an internal fault"):
+        main(["invariants", "--code", "open: O1+ U1+", "--format", "json"])
+    assert capsys.readouterr().out == ""
 
 
 def _error_type(capsys, argv) -> str:

@@ -395,6 +395,16 @@ def reduce_by_last_bigon(state) -> int:
     return splices
 
 
+def test_a_curl_is_no_bigon():
+    """Two adjacent ports of one node joined to each other are a curl, not a
+    bigon: the edge has to join two distinct nodes."""
+    partner = {0: 1, 1: 0, 2: -1, -1: 2, 3: -2, -2: 3}
+    state = GraphState({0}, dict(partner), 0, 0)
+    assert _find_bigon(state) is None
+    reduced = reduce_graph(state)
+    assert (reduced.nodes, reduced.partner, reduced.circles) == ({0}, partner, 0)
+
+
 def test_bigon_search_matches_pairwise_reference():
     """``_find_bigon`` finds a bigon exactly when the pairwise criterion does,
     and reducing by the reference's last bigon instead of the first one found

@@ -3,12 +3,15 @@
 Every command takes one diagram (--code, --file or --catalog) and prints a
 report as text or JSON.  JSON output is deterministic: identical inputs
 give byte-identical documents; timing appears only in text mode.  Errors
-exit with status 1 and a machine-readable JSON object on stdout.
+exit with status 1 and a machine-readable JSON object on stdout, arguments
+that argparse refuses included (``BadArgument``).  The parser is built once
+per process and holds no request's data, so ``main`` may be called repeatedly.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -197,8 +200,17 @@ def _run(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses with ``BadArgument``, not exit 2; sub-parsers share the class."""
+
+    def error(self, message):
+        raise BadArgument(message)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The process's one parser, shared by every call: do not modify it."""
+    parser = _Parser(
         prog="knotoids",
         description="Knotoid invariants from signed Gauss codes.",
     )
@@ -235,9 +247,8 @@ def _input_options(p) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        return _run(build_parser().parse_args(argv))
     except KnotoidError as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}},
                          sort_keys=True))

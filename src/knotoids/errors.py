@@ -38,7 +38,7 @@ class InputFileError(KnotoidError):
 
 
 class BadArgument(KnotoidError):
-    """A command-line option has a value outside its range."""
+    """A command-line argument is refused: unknown, unparsable or out of range."""
 
 
 class IncompleteChoice(KnotoidError):

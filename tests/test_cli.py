@@ -1,5 +1,6 @@
 """Command-line interface: commands, formats, determinism, errors."""
 
+import argparse
 import hashlib
 import json
 import random
@@ -261,6 +262,71 @@ def test_one_input_source_is_required(capsys):
     assert _error_type(capsys, ["invariants", "--format", "json"]) == "BadArgument"
     argv = ["bracket", "--code", "open:", "--catalog", "fig1g", "--format", "json"]
     assert _error_type(capsys, argv) == "BadArgument"
+
+
+def test_argparse_refusals_are_typed(capsys):
+    refused = {
+        ("invariants", "--state-limit", "abc", "--code", "x"): "invalid int value: 'abc'",
+        ("frobnicate",): "invalid choice: 'frobnicate'",
+        ("catalog", "--format", "json"): "the following arguments are required: action",
+        ("invariants", "--code", "x", "--bogus", "1"): "unrecognized arguments: --bogus 1",
+    }
+    for argv, message in refused.items():
+        assert main(list(argv)) == 1
+        captured = capsys.readouterr()
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "BadArgument"
+        assert message in error["message"]
+        assert captured.err == ""
+    # Help is not a refusal: usage on stdout and exit status 0, as before.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["invariants", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: knotoids invariants")
+
+
+def _request_mix():
+    return [
+        ["moves", "walk", "--code", "open: O1+ U2- U1+ O2-", "--steps", "3", "--seed", "5",
+         "--format", "json"],
+        ["invariants", "--catalog", "fig1g", "--format", "json"],
+        ["invariants", "--code", "open: O1- O2+ U1- U2+ ; loop: O3+ U3+", "--format", "json"],
+        ["odd-writhe", "--catalog", "fig1f"],
+        ["catalog", "verify", "--state-limit", "3"],
+        ["invariants", "--code", "x", "--bogus", "1"],
+    ]
+
+
+def _answer(capsys, argv) -> tuple[int, str]:
+    status = main(argv)
+    # Text mode ends with its wall time, the one line allowed to vary.
+    out = "".join(line for line in capsys.readouterr().out.splitlines(keepends=True)
+                  if not line.startswith("timing_ms: "))
+    return status, out
+
+
+def test_requests_do_not_leak_into_each_other(capsys):
+    mix = _request_mix()
+    first = [_answer(capsys, argv) for argv in mix]
+    assert [status for status, _ in first] == [0, 0, 0, 0, 1, 1]
+    again = [_answer(capsys, argv) for argv in reversed(mix)]
+    assert again[::-1] == first
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    main(["validate", "--code", "open: O1+ U1+"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    for argv in (_request_mix() * 2)[:10]:
+        main(argv)
+    capsys.readouterr()
+    assert built == []
 
 
 def test_malformed_declared_height_is_typed(capsys):

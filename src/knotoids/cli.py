@@ -17,7 +17,6 @@ import sys
 import time
 
 from . import (
-    applicable_moves,
     height_bounds,
     normalized_bracket,
     parse,
@@ -30,6 +29,7 @@ from .affine import VirtualityReport
 from .codes import KnotoidCode
 from .catalog import Invariants, catalog_entry, load_catalog, verify_entry
 from .errors import BadArgument, InputFileError, KnotoidError, ShapeError
+from .moves import _move_table
 from .smoothing import DEFAULT_STATE_LIMIT
 
 ARROW_KEYS = ("arrow", "normalized_arrow", "k_degree", "lambda_degree")
@@ -192,7 +192,7 @@ def _run(args) -> int:
             report["virtuality"] = VirtualityReport.of(
                 values.affine, values.arrow, values.parity
             ).to_json()
-        report["move_count"] = len(applicable_moves(code, max_crossings=code.crossing_count()))
+        report["move_count"] = _move_table(code, code.crossing_count()).total
     else:
         raise KnotoidError(f"unknown command {args.command!r}")
 

@@ -16,13 +16,18 @@ where the top strand overpasses both others and the middle strand
 overpasses the bottom one.  Endpoints are never moved across strands, so
 the forbidden endpoint slides cannot arise.
 
-``applicable_moves(code, max_crossings)`` builds only the moves whose
-result keeps at most ``max_crossings`` crossings, in the order of the
-uncapped list: with budget b = max_crossings - n, R1 inserts need b >= 1,
-R2 inserts b >= 2, and deletions and slides a crossing change of at most b.
-R3 sites are found through a label index: the three pairs of a triangle
-carry the label sets {x,y}, {y,z} and {x,z}, so only such triples reach
-the pattern check.
+The moves whose result keeps at most ``max_crossings`` crossings form one
+indexed table per code, ``_move_table``, in the uncapped list's order: with
+budget b = max_crossings - n and S insertion sites, 4S R1 inserts if b >= 1,
+4S^2 R2 inserts if b >= 2, the deletions that change at most b crossings,
+and the R3 slides if b >= 0.  Inserts are counted, not built: in
+``move_at(table, i)``, R1 insert i is site i // 4, then ``over_first``,
+then ``sign``; R2 row a (first site a) starts at 4a(2S - a) and holds 4
+inserts at site a twice (``over_site``, ``sign``), then 8 per later second
+site (``over_site``, ``parallel``, ``sign``).  ``random_walk`` builds only
+the move it draws.  R3 sites are found through a label index: the three
+pairs of a triangle carry the label sets {x,y}, {y,z} and {x,z}, so only
+such triples reach the pattern check.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .codes import ComponentCode, KnotoidCode, LOOP, OPEN, OVER, Passage, UNDER, validate
 from .errors import InapplicableMove
@@ -84,36 +90,57 @@ def _with_component(code: KnotoidCode, ci: int, passages: tuple) -> KnotoidCode:
     return KnotoidCode(tuple(comps), code.meta)
 
 
-def applicable_moves(code: KnotoidCode, max_crossings: int | None = None) -> list[MoveSpec]:
-    """Every applicable move whose result has at most ``max_crossings``
-    crossings (no bound when None), deterministic order."""
+class _MoveTable(NamedTuple):
+    sites: list[tuple[int, int]]
+    r1: int
+    r2: int
+    rest: list[MoveSpec]
+
+    @property
+    def total(self) -> int:
+        return self.r1 + self.r2 + len(self.rest)
+
+
+def _move_table(code: KnotoidCode, max_crossings: int | None) -> _MoveTable:
+    """The applicable moves under the cap, inserts counted and not built."""
     budget = math.inf if max_crossings is None else max_crossings - code.crossing_count()
     sites = []
     for ci, comp in enumerate(code.components):
         slots = len(comp.passages) + 1 if comp.kind == OPEN else max(len(comp.passages), 1)
         sites.extend((ci, pos) for pos in range(slots))
-    moves: list[MoveSpec] = []
-    if budget >= 1:
-        moves += [
-            MoveSpec(R1_INSERT, (ci, pos, over_first, sign))
-            for ci, pos in sites
-            for over_first in (True, False)
-            for sign in (1, -1)
-        ]
-    if budget >= 2:
-        moves += [
-            MoveSpec(R2_INSERT, (s1, s2, over_site, parallel, sign))
-            for a, s1 in enumerate(sites)
-            for s2 in sites[a:]
-            for over_site in (1, 2)
-            for parallel in (False, True)
-            if not (parallel and s1 == s2)
-            for sign in (1, -1)
-        ]
-    moves.extend(m for m in _deletion_moves(code) if m.crossing_delta() <= budget)
+    rest = [m for m in _deletion_moves(code) if m.crossing_delta() <= budget]
     if budget >= 0:
-        moves.extend(_r3_moves(code))
-    return moves
+        rest += _r3_moves(code)
+    s = len(sites)
+    return _MoveTable(sites, 4 * s if budget >= 1 else 0, 4 * s * s if budget >= 2 else 0, rest)
+
+
+def move_at(table: _MoveTable, i: int) -> MoveSpec:
+    """The move at index ``i`` of the table's order, built by arithmetic."""
+    sites = table.sites
+    if i < table.r1:
+        site, r = divmod(i, 4)
+        return MoveSpec(R1_INSERT, (*sites[site], r < 2, -1 if r & 1 else 1))
+    i -= table.r1
+    if i >= table.r2:
+        return table.rest[i - table.r2]
+    # Row a starts at 4(S^2 - (S - a)^2): the last start at or below i.
+    s = len(sites)
+    a = s - 1 - math.isqrt(s * s - i // 4 - 1)
+    k = i - 4 * a * (2 * s - a)
+    if k < 4:
+        b, over_site, parallel = a, 1 + (k >> 1), False
+    else:
+        b, k = divmod(k - 4, 8)
+        b, over_site, parallel = a + 1 + b, 1 + (k >> 2), bool(k & 2)
+    return MoveSpec(R2_INSERT, (sites[a], sites[b], over_site, parallel, -1 if k & 1 else 1))
+
+
+def applicable_moves(code: KnotoidCode, max_crossings: int | None = None) -> list[MoveSpec]:
+    """Every applicable move whose result has at most ``max_crossings``
+    crossings (no bound when None), deterministic order."""
+    table = _move_table(code, max_crossings)
+    return [move_at(table, i) for i in range(table.total)]
 
 
 def _deletion_moves(code: KnotoidCode) -> list[MoveSpec]:
@@ -354,8 +381,8 @@ def random_walk(
     trajectory = [code]
     current = code
     for _ in range(steps):
-        moves = applicable_moves(current, max_crossings=max_crossings)
-        if moves:
-            current = apply_move(current, moves[rng.randrange(len(moves))])
+        table = _move_table(current, max_crossings)
+        if table.total:
+            current = apply_move(current, move_at(table, rng.randrange(table.total)))
         trajectory.append(current)
     return trajectory

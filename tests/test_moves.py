@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import math
 import random
 
 import pytest
 
 from knotoids.cli import main
-from knotoids.codes import LOOP, classify_crossings, parse, serialize, validate
+from knotoids.closures import virtual_closure
+from knotoids.codes import LOOP, OPEN, classify_crossings, parse, serialize, validate
 from knotoids.errors import InapplicableMove
 from knotoids.moves import (
     MoveSpec,
@@ -17,6 +19,7 @@ from knotoids.moves import (
     R2_INSERT,
     R3_SLIDE,
     _adjacent_pairs,
+    _deletion_moves,
     _r3_moves,
     _valid_r3,
     applicable_moves,
@@ -203,15 +206,22 @@ def _digest(trajectories):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _criterion_8_walks(count):
-    """The first ``count`` walks of tests/test_acceptance.py's criterion 8."""
+def _criterion_8_starts(count):
+    """Start codes and seeds of the first ``count`` walks of
+    tests/test_acceptance.py's criterion 8."""
     rng = random.Random(20_008)
-    walks = []
+    starts = []
     for _ in range(count):
         code = random_code(rng, rng.randint(2, 5))
-        seed = rng.randrange(1 << 30)
-        walks.append(random_walk(code, steps=20, seed=seed, max_crossings=10))
-    return walks
+        starts.append((code, rng.randrange(1 << 30)))
+    return starts
+
+
+def _criterion_8_walks(count):
+    return [
+        random_walk(code, steps=20, seed=seed, max_crossings=10)
+        for code, seed in _criterion_8_starts(count)
+    ]
 
 
 def _loop_walks(count):
@@ -324,3 +334,80 @@ def test_capped_moves_are_the_filtered_full_list():
             assert applicable_moves(code, max_crossings=cap) == [
                 mv for mv in full if n + mv.crossing_delta() <= cap
             ]
+
+
+def reference_moves(code, max_crossings):
+    """Reference order: every move built, R1 and R2 inserts by list
+    comprehension and R3 slides by the triple scan, filtered by the cap."""
+    budget = math.inf if max_crossings is None else max_crossings - code.crossing_count()
+    sites = [
+        (ci, pos)
+        for ci, comp in enumerate(code.components)
+        for pos in range(len(comp.passages) + 1 if comp.kind == OPEN else max(len(comp.passages), 1))
+    ]
+    moves = []
+    if budget >= 1:
+        moves += [
+            MoveSpec(R1_INSERT, (ci, pos, over_first, sign))
+            for ci, pos in sites
+            for over_first in (True, False)
+            for sign in (1, -1)
+        ]
+    if budget >= 2:
+        moves += [
+            MoveSpec(R2_INSERT, (s1, s2, over_site, parallel, sign))
+            for a, s1 in enumerate(sites)
+            for s2 in sites[a:]
+            for over_site in (1, 2)
+            for parallel in (False, True)
+            if not (parallel and s1 == s2)
+            for sign in (1, -1)
+        ]
+    moves.extend(m for m in _deletion_moves(code) if m.crossing_delta() <= budget)
+    if budget >= 0:
+        moves.extend(_r3_scan(code))
+    return moves
+
+
+def _table_codes():
+    """One-leg codes with loops, multi-component codes (half with an empty
+    component), loop-only closures, the trivial knotoid, and codes of 12+
+    crossings that start over the walks' cap."""
+    rng = random.Random(1414)
+    codes = [parse("open:")]
+    codes += [random_code(rng, rng.randint(0, 5), loops=rng.choice((1, 2))) for _ in range(25)]
+    codes += [random_multi_code(rng, rng.randint(0, 5), empty=i % 2 == 0) for i in range(30)]
+    codes += [virtual_closure(random_code(rng, rng.randint(0, 5))) for _ in range(20)]
+    codes += [walk[0] for walk in _over_cap_walks()]
+    return codes
+
+
+def test_move_table_matches_reference_order():
+    codes = _table_codes()
+    assert any(c.crossing_count() >= 12 for c in codes)
+    assert any(all(comp.kind == LOOP for comp in c.components) for c in codes)
+    assert any(not comp.passages for c in codes[1:] for comp in c.components)
+    for code in codes:
+        n = code.crossing_count()
+        for cap in (None, *range(n + 4)):
+            assert applicable_moves(code, max_crossings=cap) == reference_moves(code, cap), (
+                serialize(code), cap)
+
+
+def test_walk_builds_only_the_drawn_move(monkeypatch):
+    built = []
+    init = MoveSpec.__init__
+
+    def counted_init(self, kind, params):
+        built.append(kind)
+        init(self, kind, params)
+
+    for code, seed in _criterion_8_starts(30):
+        with monkeypatch.context() as patch:
+            patch.setattr(MoveSpec, "__init__", counted_init)
+            walk = random_walk(code, steps=20, seed=seed, max_crossings=10)
+        # Deletions and R3 slides are enumerated; of the inserts, only the
+        # drawn one is built.
+        bound = sum(len(_deletion_moves(c)) + len(_r3_moves(c)) + 1 for c in walk[:-1])
+        assert 0 < len(built) <= bound
+        built.clear()

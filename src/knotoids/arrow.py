@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .codes import KnotoidCode
 from .errors import LimitExceeded
 from .laurent import ArrowMonomial, ArrowPoly, state_sum, writhe_normalize
-from .smoothing import CIRCLE, CompiledCode, DEFAULT_STATE_LIMIT, _cyclic_reduce, _linear_reduce
+from .smoothing import CIRCLE, DEFAULT_STATE_LIMIT, _cyclic_reduce, _linear_reduce, compiled_form
 from .bracket import writhe
 
 
@@ -33,11 +33,7 @@ def arrow_polynomial(
     code: KnotoidCode, state_limit: int = DEFAULT_STATE_LIMIT
 ) -> ArrowPoly:
     """Sum over oriented states of A^(i-j) d^(components-1) <S-hat>."""
-    return _arrow(CompiledCode(code), state_limit)
-
-
-def _arrow(compiled: CompiledCode, state_limit: int) -> ArrowPoly:
-    """The arrow polynomial of a compiled diagram."""
+    compiled = compiled_form(code)
     if compiled.n > state_limit:
         raise LimitExceeded(f"{compiled.n} crossings exceed the state limit {state_limit}")
     by_monomial: dict[tuple[tuple, tuple], dict[tuple[int, int], int]] = {}

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .codes import KnotoidCode, OPEN, OVER
 from .errors import LimitExceeded
 from .laurent import LaurentA, loop_value, state_sum, writhe_normalize
-from .smoothing import CompiledCode, DEFAULT_STATE_LIMIT
+from .smoothing import DEFAULT_STATE_LIMIT, compiled_form
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,7 @@ def writhe(code: KnotoidCode) -> int:
 
 def bracket(code: KnotoidCode, state_limit: int = DEFAULT_STATE_LIMIT) -> LaurentA:
     """State sum over all smoothings: sum of A^sigma * d^(components - 1)."""
-    compiled = CompiledCode(code)
+    compiled = compiled_form(code)
     if compiled.n > state_limit:
         raise LimitExceeded(f"{compiled.n} crossings exceed the state limit {state_limit}")
     counts = compiled.contract(False)

@@ -15,18 +15,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 
-from .codes import (
-    EVEN, LINK, CrossingInfo, KnotoidCode, _evenly_intersticed, classify_crossings, parse,
-)
+from .codes import EVEN, LINK, KnotoidCode, _evenly_intersticed, parse
 from .affine import affine_index
-from .arrow import _arrow
+from .arrow import arrow_polynomial
 from .bracket import writhe
 from .closures import HeightBound, carter_genus, check_height_shape, declared_height_interval
 from .errors import CodeSyntaxError, UnknownEntry
 from .laurent import LaurentA, writhe_normalize
-from .parity import OddWritheReport
-from .parity_bracket import FlatParityValue, _parity_bracket, normalize_parity
-from .smoothing import CompiledCode, DEFAULT_STATE_LIMIT
+from .parity import OddWritheReport, odd_writhe
+from .parity_bracket import FlatParityValue, normalize_parity, parity_bracket
+from .smoothing import DEFAULT_STATE_LIMIT, compiled_form
 
 _DATA = resources.files(__package__) / "data"
 
@@ -113,32 +111,26 @@ def catalog_entry(entry_id: str) -> CatalogEntry:
 class Invariants:
     """The invariants of one diagram, each computed on first use.
 
-    One ``CompiledCode`` serves the arrow polynomial and the parity
-    bracket, and one crossing classification serves the parity bracket,
-    the odd writhe, evenly-intersticed and the parity label lists.  The
-    bracket is the arrow's coefficient sum, and the flat parity bracket is
-    the parity bracket at A = -1.  ``record[key]`` is the value named
-    ``key`` in ``VALUES``, which the catalog and the CLI both read.
+    The public engines all read the code's one compiled form
+    (``smoothing.compiled_form``), so the arrow polynomial, the parity
+    bracket and the genus share one compile, and the parity bracket, the
+    odd writhe, evenly-intersticed and the parity label lists one crossing
+    classification.  The bracket is the arrow's coefficient sum, and the
+    flat parity bracket is the parity bracket at A = -1.  ``record[key]``
+    is the value named ``key`` in ``VALUES``, which the catalog and the
+    CLI both read.
     """
 
     code: KnotoidCode
     state_limit: int = DEFAULT_STATE_LIMIT
 
     @cached_property
-    def compiled(self) -> CompiledCode:
-        return CompiledCode(self.code)
-
-    @cached_property
-    def crossings(self) -> list[CrossingInfo]:
-        return classify_crossings(self.code)
-
-    @cached_property
     def odd(self) -> OddWritheReport:
-        return OddWritheReport.of(self.crossings)
+        return odd_writhe(self.code)
 
     @cached_property
     def arrow(self):
-        return _arrow(self.compiled, self.state_limit)
+        return arrow_polynomial(self.code, self.state_limit)
 
     @cached_property
     def bracket(self):
@@ -146,7 +138,7 @@ class Invariants:
 
     @cached_property
     def parity(self):
-        return _parity_bracket(self.compiled, self.crossings, self.state_limit)
+        return parity_bracket(self.code, self.state_limit)
 
     @cached_property
     def affine(self):
@@ -159,7 +151,8 @@ class Invariants:
 
     def labels(self, parity: str) -> str:
         """The labels of the crossings of one parity class, sorted and comma-joined."""
-        return ",".join(sorted(i.label for i in self.crossings if i.parity == parity))
+        crossings = compiled_form(self.code).crossings
+        return ",".join(sorted(i.label for i in crossings if i.parity == parity))
 
     def __getitem__(self, key: str):
         if key not in VALUES:
@@ -174,7 +167,7 @@ VALUES = {
     "odd_set": lambda v: ",".join(sorted(v.odd.odd_crossings)),
     "parity_even": lambda v: v.labels(EVEN),
     "parity_link": lambda v: v.labels(LINK),
-    "evenly_intersticed": lambda v: _evenly_intersticed(v.code, v.crossings),
+    "evenly_intersticed": lambda v: _evenly_intersticed(v.code, compiled_form(v.code).crossings),
     "bracket": lambda v: v.bracket.render(),
     "normalized_bracket": lambda v: writhe_normalize(v.bracket, writhe(v.code)).render(),
     "arrow": lambda v: v.arrow.render(),

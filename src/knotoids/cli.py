@@ -30,7 +30,7 @@ from .codes import KnotoidCode
 from .catalog import Invariants, catalog_entry, load_catalog, verify_entry
 from .errors import BadArgument, InputFileError, KnotoidError, ShapeError
 from .moves import _move_table
-from .smoothing import DEFAULT_STATE_LIMIT
+from .smoothing import DEFAULT_STATE_LIMIT, compiled_form
 
 ARROW_KEYS = ("arrow", "normalized_arrow", "k_degree", "lambda_degree")
 # The record's values that ``invariants`` reports, in report order.
@@ -160,7 +160,7 @@ def _run(args) -> int:
         report |= {
             "odd_writhe": values["odd_writhe"],
             "odd_crossings": sorted(values.odd.odd_crossings),
-            "parity": {i.label: i.parity for i in values.crossings},
+            "parity": {i.label: i.parity for i in compiled_form(code).crossings},
         }
     elif args.command == "genus":
         report["genus"] = values["genus"]

@@ -8,7 +8,7 @@ from .codes import ComponentCode, KnotoidCode, LOOP, OPEN
 from .errors import CodeSyntaxError, ParityError, ShapeError
 from .affine import affine_index
 from .arrow import arrow_polynomial
-from .smoothing import CompiledCode, DEFAULT_STATE_LIMIT
+from .smoothing import DEFAULT_STATE_LIMIT, compiled_form
 
 
 def virtual_closure(code: KnotoidCode) -> KnotoidCode:
@@ -37,7 +37,7 @@ def carter_genus(code: KnotoidCode) -> int:
     """
     if not code.is_standard_knotoid():
         raise ShapeError("ribbon genus needs one open component and no loops")
-    compiled = CompiledCode(code)
+    compiled = compiled_form(code)
     n = compiled.n
     P = compiled.P
     tail, head = -1, -2

@@ -72,6 +72,11 @@ class KnotoidCode:
     def __post_init__(self):
         object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
 
+    def __reduce__(self):
+        # Pickles and copies carry the fields alone, never the compiled form
+        # that ``smoothing.compiled_form`` keeps on the code.
+        return KnotoidCode, (self.components, dict(self.meta))
+
     def all_passages(self):
         """Yield (component_index, passage_index, passage) in traversal order."""
         for ci, comp in enumerate(self.components):

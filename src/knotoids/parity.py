@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import CrossingInfo, KnotoidCode, ODD, classify_crossings
+from .codes import KnotoidCode, ODD
+from .smoothing import compiled_form
 
 
 @dataclass(frozen=True)
@@ -12,14 +13,8 @@ class OddWritheReport:
     odd_crossings: frozenset[str]
     value: int
 
-    @classmethod
-    def of(cls, crossings: list[CrossingInfo]) -> OddWritheReport:
-        """The odd crossings and their sign sum, read off a classification
-        (``catalog.Invariants`` passes the one it holds)."""
-        odd = [info for info in crossings if info.parity == ODD]
-        return cls(frozenset(info.label for info in odd), sum(info.sign for info in odd))
-
 
 def odd_writhe(code: KnotoidCode) -> OddWritheReport:
     """Sum of signs over odd self-crossings (link crossings contribute 0)."""
-    return OddWritheReport.of(classify_crossings(code))
+    odd = [info for info in compiled_form(code).crossings if info.parity == ODD]
+    return OddWritheReport(frozenset(info.label for info in odd), sum(info.sign for info in odd))

@@ -44,7 +44,6 @@ from types import MappingProxyType
 from .bracket import writhe
 from .codes import (
     EVEN,
-    CrossingInfo,
     FlatCode,
     KnotoidCode,
     ComponentCode,
@@ -53,7 +52,7 @@ from .codes import (
 )
 from .errors import LimitExceeded
 from .laurent import LaurentA, state_sum, writhe_normalize
-from .smoothing import CompiledCode, DEFAULT_STATE_LIMIT
+from .smoothing import CompiledCode, DEFAULT_STATE_LIMIT, compiled_form
 
 
 @dataclass
@@ -487,19 +486,13 @@ def parity_bracket(
     code exactly.  A knotoid keeps strictly more information in the open
     form, so ``closed=False`` is the default.
     """
-    return _parity_bracket(CompiledCode(code), classify_crossings(code), state_limit, closed)
-
-
-def _parity_bracket(
-    compiled: CompiledCode, crossings: list[CrossingInfo], state_limit: int, closed: bool = False
-) -> ParityBracketValue:
-    """The parity bracket of a compiled diagram whose crossings are classified."""
-    even = [compiled.index_of[i.label] for i in crossings if i.parity == EVEN]
+    compiled = compiled_form(code)
+    even = compiled.even
     if len(even) > state_limit:
         raise LimitExceeded(
             f"{len(even)} even crossings exceed the state limit {state_limit}"
         )
-    nodes = sorted(compiled.index_of[i.label] for i in crossings if i.parity != EVEN)
+    nodes = sorted(set(range(compiled.n)).difference(even))
     ports = _ports(compiled, nodes)
     # Arcs that meet no even crossing join the same ends in every state:
     # node port to node port or stub, and the stubs of an empty leg.

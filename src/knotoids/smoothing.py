@@ -18,12 +18,16 @@ follows the number of distinct pairings rather than 2^n.  A partial state
 is a mate array over the step's boundary positions: slot ``2i`` holds the
 slot of position ``i``'s partner and slot ``2i + 1`` the word read towards
 it, packed as signed bytes, or as 8-byte ints when a slot or a word could
-pass 127.  Each step is planned once, from the ends alone; a state then
-costs an array copy, two joins, a few slot moves and a byte slice.  The
-bracket and the arrow polynomial smooth every crossing and read the
-aggregated counts through ``contract``; the parity bracket smooths only the
-even crossings, so the ports of the other crossings stay boundary ends to
-the end, and it reads one graph state per final pairing.
+pass 127.  Each step is planned from the ends alone; a state then costs
+an array copy, two joins, a few slot moves and a byte slice, and its counts
+pass to its successors by reference, under an offset that adds the step's
+sigma and circles.  The bracket and the arrow polynomial smooth every
+crossing and read the aggregated counts through ``contract``; the parity
+bracket smooths only the even crossings, so the ports of the other
+crossings stay boundary ends to the end, and it reads one graph state per
+final pairing.  A code keeps one compiled form (``compiled_form``) with its
+crossing classification and one plan per smoothed set, so all invariants
+of a code share one compile, and the bracket and the arrow one plan.
 
 Reduced cusp words alternate L and R, so an int stands for one: its length,
 negated when the word starts with L; 0 is the empty word.  These are the
@@ -41,9 +45,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 
-from .codes import KnotoidCode, OPEN, OVER, label_order, occurrences
+from .codes import EVEN, KnotoidCode, OPEN, OVER, classify_crossings, label_order, occurrences
 from .errors import IncompleteChoice, LimitExceeded
 
 ORIENTED = "oriented"
@@ -55,13 +58,32 @@ SEGMENT = "segment"
 CIRCLE = "circle"
 
 
+def compiled_form(code: KnotoidCode) -> CompiledCode:
+    """The compiled form of ``code``, built on first use and kept on the code.
+
+    It lives in the code's instance dict, outside its fields, so equality,
+    hashing, ``repr`` and pickles never see it, and it holds no reference
+    back to the code: it goes when the code goes.  Two threads that ask at
+    once may each build one; both are equal and one is kept.
+    """
+    form = code.__dict__.get("_compiled")
+    if form is None:
+        form = CompiledCode(code)
+        object.__setattr__(code, "_compiled", form)
+    return form
+
+
 class CompiledCode:
-    """Array form of a code: crossings, signs and arc succession."""
+    """Array form of a code: crossings, signs, arc succession, the crossing
+    classification, and the contraction plans built so far."""
 
     def __init__(self, code: KnotoidCode):
         self.labels = label_order(code)
         self.index_of = {lab: k for k, lab in enumerate(self.labels)}
         self.n = len(self.labels)
+        self.crossings = classify_crossings(code)
+        self.even = [self.index_of[i.label] for i in self.crossings if i.parity == EVEN]
+        self.plans: dict[tuple | None, tuple] = {}
 
         flat = []  # (crossing index, is_over, sign)
         global_index: dict[tuple[int, int], int] = {}
@@ -250,12 +272,14 @@ class CompiledCode:
         arrays (see the module docstring) smoothed as ``_plan`` says.
         """
         n = self.n
-        # The frontier maps a packed mate array to counts by inner key, an
-        # int packing (monomial id, closed circles, sigma + n).  It is the
-        # engine's peak memory and arrow states rarely merge, so keys are
-        # bytes, not tuples (the interpreter keeps thousands of freed tuples
-        # for reuse), and counts reached from one predecessor stay a flat
-        # [key, count, ...] list, far smaller than a dict.
+        # The frontier maps a packed mate array (bytes, not tuples: it is the
+        # engine's peak memory) to an offset and a dict of counts by inner
+        # key; inner key plus offset packs (monomial id, closed circles,
+        # sigma + n).  A successor whose monomials do not grow takes its
+        # predecessor's dict by reference and adds its sigma and circles to
+        # the offset, so both choices share one dict.  A dict is copied only
+        # when a second state merges into its key, and built anew when a
+        # monomial grows; only those in ``owned`` may be added to in place.
         stride = 2 * n + 1  # sigma + n runs over 0..2n
         span = stride * (2 * n + 1)  # and closed circles over 0..2n
         monomials: list[tuple[tuple, tuple]] = [((), ())]
@@ -273,19 +297,15 @@ class CompiledCode:
                 grown[step] = monomial_ids[full]
             return grown[step]
 
-        plans, boundary = self._plan(want_words, smooth)
-        # A reduced word on a pending arc has at most two cusps per crossing,
-        # so slots (and words) fit signed bytes while both stay below 128.
-        typecode = "b" if max([2 * n] + [len(plan[1]) for plan in plans]) < 128 else "q"
-        frontier: dict[bytes, list[int] | dict[int, int]] = {b"": [n, 1]}
-        for tail, stub, choices, moves, cut in plans:
-            tail = array(typecode, tail).tobytes()
-            merged: dict[bytes, list[int] | dict[int, int]] = {}
+        steps, boundary, typecode = self._plan(smooth)
+        frontier: dict[bytes, tuple[int, dict[int, int]]] = {b"": (0, {n: 1})}
+        for tail, stub, choices, moves, cut in steps:
+            merged: dict[bytes, tuple[int, dict[int, int]]] = {}
+            owned: set[bytes] = set()
             while frontier:
-                key, inner = frontier.popitem()
-                pairs = _items(inner)
+                key, (offset, inner) = frontier.popitem()
                 mates = array(typecode, key + tail)
-                for sigma, joins in choices:
+                for sigma, joins in choices[want_words]:
                     m = mates[:]
                     circles, ks, ls = 0, [], []
                     for x, y, c in joins:
@@ -319,46 +339,63 @@ class CompiledCode:
                     shift = sigma + circles * stride
                     if ks or ls:
                         ks, ls = tuple(ks), tuple(ls)
-                        moved = [
-                            (grow(ikey // span, ks, ls) * span + ikey % span + shift, count)
-                            for ikey, count in pairs
-                        ]
+                        counts = {}
+                        for ikey, count in inner.items():
+                            mono, rest = divmod(ikey + offset, span)
+                            counts[grow(mono, ks, ls) * span + rest + shift] = count
+                        value = (0, counts)
                     else:
-                        moved = [(ikey + shift, count) for ikey, count in pairs]
+                        value = (offset + shift, inner)
                     known = merged.get(new_key)
                     if known is None:
-                        merged[new_key] = list(chain.from_iterable(moved))
+                        merged[new_key] = value
+                        if ks or ls:
+                            owned.add(new_key)
                         continue
-                    if type(known) is list:
-                        known = merged[new_key] = dict(zip(known[::2], known[1::2]))
-                    for ikey, count in moved:
-                        known[ikey] = known.get(ikey, 0) + count
+                    base, counts = known
+                    if new_key not in owned:
+                        counts = dict(counts)
+                        merged[new_key] = (base, counts)
+                        owned.add(new_key)
+                    delta = value[0] - base
+                    get = counts.get
+                    for ikey, count in value[1].items():
+                        ikey += delta
+                        counts[ikey] = get(ikey, 0) + count
             frontier = merged
-        for key, inner in frontier.items():
+        for key, (offset, inner) in frontier.items():
             counts = {}
-            for ikey, count in _items(inner):
-                mono, rest = divmod(ikey, span)
+            for ikey, count in inner.items():
+                mono, rest = divmod(ikey + offset, span)
                 circles, sigma = divmod(rest, stride)
                 counts[(sigma - n, fixed + circles, *monomials[mono])] = count
             mates = array(typecode, key)
             ends = zip(boundary, zip([boundary[i >> 1] for i in mates[::2]], mates[1::2]))
             yield dict(sorted(ends)), counts
 
-    def _plan(self, want_words: bool, smooth):
-        """Per step of ``frontier``, what every state's smoothing reads, and
-        the final boundary.  A step's extended boundary is the old one, then
-        the ends of the arcs the crossing opens.  Its plan: the mate slots
-        (and zero words) of those fresh ends, per-slot stub flags, each
-        choice's sigma and (slot, slot, cusp) joins, the (old, new) slot
-        moves that fill the crossing's retired slots from beyond the cut,
-        and the cut, the new key's slot count.
+    def _plan(self, smooth):
+        """Per step of ``frontier``, what every state's smoothing reads; the
+        final boundary; and the mate arrays' typecode.  Built once per
+        smoothed set and kept in ``plans``; a set of every crossing shares
+        the full set's plan.  A step's extended boundary is the old one, then
+        the ends of the arcs the crossing opens.  Its plan: the packed mate
+        slots (and zero words) of those fresh ends, per-slot stub flags,
+        each choice's sigma and (slot, slot, cusp) joins, without cusps for
+        the bracket and with them for the arrow (indexed by ``want_words``),
+        the (old, new) slot moves that fill the crossing's retired slots
+        from beyond the cut, and the cut, the new key's slot count.
         """
+        key = None if smooth is None else tuple(sorted(set(smooth)))
+        if key is not None and len(key) == self.n:
+            key = None
+        if key in self.plans:
+            return self.plans[key]
         sigma_tab = self.sigma_table()
         cusp = [1 if s == "R" else -1 for s in self.side_char]
         done = [False] * self.n
         boundary: list[int] = []
-        plans = []
-        for k in self.contraction_order(smooth):
+        steps = []
+        for k in self.contraction_order(key):
             a, b = self.cross_over[k], self.cross_under[k]
             ends = (2 * a, 2 * a + 1, 2 * b, 2 * b + 1)
             fresh = {}  # arcs of k that do not yet lead into the smoothed region
@@ -375,19 +412,23 @@ class CompiledCode:
             ia, oa, ib, ob = (slot[e] for e in ends)
             # A disoriented site puts one cusp on each of its two joins,
             # read on the side of passage a when entering through ia or oa.
-            c = cusp[a] if want_words else 0
-            choices = (
-                (sigma_tab[k][0], ((ia, ob, 0), (ib, oa, 0))),
-                (sigma_tab[k][1], ((ia, ib, c), (oa, ob, c))),
+            oriented = (sigma_tab[k][0], ((ia, ob, 0), (ib, oa, 0)))
+            choices = tuple(
+                (oriented, (sigma_tab[k][1], ((ia, ib, c), (oa, ob, c)))) for c in (0, cusp[a])
             )
             cut = 2 * (len(row) - 4)
             holes = sorted(slot[e] for e in ends if slot[e] < cut)
             kept = [i for i in range(cut, 2 * len(row), 2) if row[i >> 1] not in ends]
             for old, new in zip(kept, holes):
                 row[new >> 1] = row[old >> 1]
-            plans.append((tail, stub, choices, list(zip(kept, holes)), cut))
+            steps.append((tail, stub, choices, list(zip(kept, holes)), cut))
             boundary = row[: cut >> 1]
-        return plans, boundary
+        # A reduced word on a pending arc has at most two cusps per crossing,
+        # so slots (and words) fit signed bytes while both stay below 128.
+        typecode = "b" if max([2 * self.n] + [len(step[1]) for step in steps]) < 128 else "q"
+        steps = [(array(typecode, tail).tobytes(), *rest) for tail, *rest in steps]
+        plan = self.plans[key] = (steps, boundary, typecode)
+        return plan
 
     def sigma_table(self) -> list[tuple[int, int]]:
         """Per crossing (oriented, disoriented) contributions to #A - #B."""
@@ -541,7 +582,3 @@ def _cyclic_reduce(word: str) -> str:
         w = _linear_reduce(w[1:-1])
     return w
 
-
-def _items(inner):
-    """The (inner key, count) pairs of a frontier value: a dict or a flat list."""
-    return inner.items() if type(inner) is dict else list(zip(inner[::2], inner[1::2]))

@@ -6,11 +6,11 @@ from importlib import resources
 import pytest
 
 from knotoids.affine import affine_index
-from knotoids.arrow import _arrow
+from knotoids.arrow import arrow_polynomial
 from knotoids.catalog import catalog_entry, load_catalog, verify_entry
 from knotoids.codes import classify_crossings, parse, serialize, spiral
 from knotoids.errors import CodeSyntaxError
-from knotoids.parity_bracket import _parity_bracket, flat_parity_bracket
+from knotoids.parity_bracket import flat_parity_bracket, parity_bracket
 from knotoids.smoothing import CompiledCode
 from helpers import count_calls
 
@@ -62,22 +62,20 @@ def test_verify_computes_each_state_sum_once(monkeypatch):
     # fig1g expects arrow, k_degree, lambda_degree and height_lower, which all
     # read one arrow polynomial, and affine, affine_max_degree and height_lower.
     # fig15_k1, kink and trivial also expect the bracket, which is the arrow's
-    # coefficient sum, so no bracket state sum (contract(False)) runs.  The
-    # record runs the arrow and the parity bracket through their steps on a
-    # compiled diagram, ``_arrow`` and ``_parity_bracket``.
+    # coefficient sum, so no bracket state sum (contract(False)) runs.
     calls = []
-    for fn in (_arrow, affine_index, _parity_bracket, flat_parity_bracket):
+    for fn in (arrow_polynomial, affine_index, parity_bracket, flat_parity_bracket):
         count_calls(monkeypatch, calls, fn)
     report = verify_entry(catalog_entry("fig1g"))
     assert report.ok
-    assert sorted(calls) == ["_arrow", "_parity_bracket", "affine_index"]
+    assert sorted(calls) == ["affine_index", "arrow_polynomial", "parity_bracket"]
 
     # These expect flat_parity_trivial, which is the parity bracket at A = -1,
     # and most of them a parity key too: one parity state sum serves both.
     for entry_id in ("fig1g", "kink", "fig1e_trefoil", "fig18_virtual"):
         calls.clear()
         assert verify_entry(catalog_entry(entry_id)).ok, entry_id
-        assert calls.count("_parity_bracket") == 1, (entry_id, calls)
+        assert calls.count("parity_bracket") == 1, (entry_id, calls)
         assert "flat_parity_bracket" not in calls, (entry_id, calls)
 
     contract = CompiledCode.contract
@@ -90,7 +88,7 @@ def test_verify_computes_each_state_sum_once(monkeypatch):
         assert calls.count(False) == 0 and calls.count(True) == 1, (entry_id, calls)
 
     # The whole catalog: each record compiles its diagram once and classifies
-    # its crossings once; the genus compiles its own diagram.
+    # its crossings once, and the genus reads that compiled form too.
     init, frontier = CompiledCode.__init__, CompiledCode.frontier
     monkeypatch.setattr(
         CompiledCode, "__init__", lambda self, code: calls.append("CompiledCode") or init(self, code)
@@ -102,8 +100,8 @@ def test_verify_computes_each_state_sum_once(monkeypatch):
     calls.clear()
     for entry in load_catalog():
         assert entry.quarantined or verify_entry(entry).ok, entry.id
-    assert calls.count("CompiledCode") <= 27, calls.count("CompiledCode")
-    assert calls.count("classify_crossings") <= 14, calls.count("classify_crossings")
+    assert calls.count("CompiledCode") <= 17, calls.count("CompiledCode")
+    assert calls.count("classify_crossings") <= 17, calls.count("classify_crossings")
     assert calls.count("frontier") == 27
 
 

@@ -194,11 +194,11 @@ def test_invariants_computes_each_state_sum_once(monkeypatch, capsys):
     assert main(["invariants", "--catalog", "fig1g", "--format", "json"]) == 0
     # The arrow and the parity bracket; the bracket is read off the arrow and
     # the flat parity bracket off the parity bracket at A = -1.  Both state
-    # sums run on one compiled diagram (the genus compiles its own), and one
+    # sums and the genus read one compiled diagram, and its one
     # classification serves the parity bracket, the odd writhe and
     # evenly-intersticed; the affine index reads none.
     assert sorted(calls) == [
-        "CompiledCode", "CompiledCode", "affine_index", "classify_crossings",
+        "CompiledCode", "affine_index", "classify_crossings",
         "contract(True)", "frontier", "frontier",
     ]
 

@@ -42,14 +42,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .bracket import writhe
-from .codes import (
-    EVEN,
-    FlatCode,
-    KnotoidCode,
-    ComponentCode,
-    Passage,
-    classify_crossings,
-)
+from .codes import FlatCode, KnotoidCode, ComponentCode, Passage
 from .errors import LimitExceeded
 from .laurent import LaurentA, state_sum, writhe_normalize
 from .smoothing import CompiledCode, DEFAULT_STATE_LIMIT, compiled_form
@@ -439,9 +432,8 @@ def parity_states(
     production path builds states one by one.
     """
     compiled = CompiledCode(code)
-    infos = classify_crossings(code)
-    even_list = [compiled.index_of[i.label] for i in infos if i.parity == EVEN]
-    node_set = {compiled.index_of[i.label] for i in infos if i.parity != EVEN}
+    even_list = compiled.even
+    node_set = set(range(compiled.n)).difference(even_list)
     if len(even_list) > state_limit:
         raise LimitExceeded(
             f"{len(even_list)} even crossings exceed the state limit {state_limit}"

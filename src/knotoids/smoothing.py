@@ -45,8 +45,11 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
-from .codes import EVEN, KnotoidCode, OPEN, OVER, classify_crossings, label_order, occurrences
+from .codes import (
+    EVEN, CrossingInfo, KnotoidCode, OPEN, OVER, classify_crossings, label_order, occurrences,
+)
 from .errors import IncompleteChoice, LimitExceeded
 
 ORIENTED = "oriented"
@@ -81,9 +84,8 @@ class CompiledCode:
         self.labels = label_order(code)
         self.index_of = {lab: k for k, lab in enumerate(self.labels)}
         self.n = len(self.labels)
-        self.crossings = classify_crossings(code)
-        self.even = [self.index_of[i.label] for i in self.crossings if i.parity == EVEN]
-        self.plans: dict[tuple | None, tuple] = {}
+        self.components = code.components  # classified on first use
+        self.plans: dict[tuple[int, ...], tuple] = {}
 
         flat = []  # (crossing index, is_over, sign)
         global_index: dict[tuple[int, int], int] = {}
@@ -147,6 +149,14 @@ class CompiledCode:
             "R" if (self.cross_sign[self.pass_crossing[p]] > 0) == self.pass_is_over[p] else "L"
             for p in range(self.P)
         ]
+
+    @cached_property
+    def crossings(self) -> list[CrossingInfo]:
+        return classify_crossings(KnotoidCode(self.components))
+
+    @cached_property
+    def even(self) -> list[int]:
+        return [self.index_of[i.label] for i in self.crossings if i.parity == EVEN]
 
     def glue_for_mask(self, mask: int) -> list[int]:
         """Each end's partner when set bit ``k`` smooths crossing ``k`` disoriented."""
@@ -279,7 +289,8 @@ class CompiledCode:
         # predecessor's dict by reference and adds its sigma and circles to
         # the offset, so both choices share one dict.  A dict is copied only
         # when a second state merges into its key, and built anew when a
-        # monomial grows; only those in ``owned`` may be added to in place.
+        # monomial grows; only those in ``owned``, made by a merge this step,
+        # may be added to in place.
         stride = 2 * n + 1  # sigma + n runs over 0..2n
         span = stride * (2 * n + 1)  # and closed circles over 0..2n
         monomials: list[tuple[tuple, tuple]] = [((), ())]
@@ -349,8 +360,6 @@ class CompiledCode:
                     known = merged.get(new_key)
                     if known is None:
                         merged[new_key] = value
-                        if ks or ls:
-                            owned.add(new_key)
                         continue
                     base, counts = known
                     if new_key not in owned:
@@ -376,18 +385,17 @@ class CompiledCode:
     def _plan(self, smooth):
         """Per step of ``frontier``, what every state's smoothing reads; the
         final boundary; and the mate arrays' typecode.  Built once per
-        smoothed set and kept in ``plans``; a set of every crossing shares
-        the full set's plan.  A step's extended boundary is the old one, then
-        the ends of the arcs the crossing opens.  Its plan: the packed mate
-        slots (and zero words) of those fresh ends, per-slot stub flags,
-        each choice's sigma and (slot, slot, cusp) joins, without cusps for
-        the bracket and with them for the arrow (indexed by ``want_words``),
-        the (old, new) slot moves that fill the crossing's retired slots
-        from beyond the cut, and the cut, the new key's slot count.
+        smoothed set and kept in ``plans``, keyed by the sorted set, so a set
+        of every crossing shares the full set's plan.  A step's extended
+        boundary is the old one, then the ends of the arcs the crossing
+        opens.  Its plan: the packed mate slots (and zero words) of those
+        fresh ends, per-slot stub flags, each choice's sigma and (slot, slot,
+        cusp) joins, without cusps for the bracket and with them for the
+        arrow (indexed by ``want_words``), the (old, new) slot moves that
+        fill the crossing's retired slots from beyond the cut, and the cut,
+        the new key's slot count.
         """
-        key = None if smooth is None else tuple(sorted(set(smooth)))
-        if key is not None and len(key) == self.n:
-            key = None
+        key = tuple(range(self.n) if smooth is None else sorted(set(smooth)))
         if key in self.plans:
             return self.plans[key]
         sigma_tab = self.sigma_table()

@@ -101,7 +101,7 @@ def test_verify_computes_each_state_sum_once(monkeypatch):
     for entry in load_catalog():
         assert entry.quarantined or verify_entry(entry).ok, entry.id
     assert calls.count("CompiledCode") <= 17, calls.count("CompiledCode")
-    assert calls.count("classify_crossings") <= 17, calls.count("classify_crossings")
+    assert calls.count("classify_crossings") <= 14, calls.count("classify_crossings")
     assert calls.count("frontier") == 27
 
 

@@ -122,10 +122,11 @@ def affine_index(code: KnotoidCode) -> AffinePoly:
 
     It reads the weights alone, never the crossings' parity classes.
     """
-    poly = AffinePoly.zero()
+    terms: dict[int, int] = {}
     for _, sign, _, _, w in _weights(code):
-        poly = poly + AffinePoly({w: sign}) - AffinePoly({0: sign})
-    return poly
+        terms[w] = terms.get(w, 0) + sign
+        terms[0] = terms.get(0, 0) - sign
+    return AffinePoly(terms)
 
 
 @dataclass(frozen=True)

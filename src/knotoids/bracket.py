@@ -18,8 +18,8 @@ class BracketReport:
 
 
 def writhe(code: KnotoidCode) -> int:
-    """Positive minus negative crossings, each counted at its one over passage."""
-    return sum(p.sign for _, _, p in code.all_passages() if p.role == OVER)
+    """Positive minus negative crossings, read off the compiled form's signs."""
+    return sum(compiled_form(code).cross_sign)
 
 
 def bracket(code: KnotoidCode, state_limit: int = DEFAULT_STATE_LIMIT) -> LaurentA:

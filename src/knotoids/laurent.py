@@ -7,6 +7,7 @@ coefficients are never stored: the empty term map is the zero polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 
@@ -156,24 +157,30 @@ def loop_value() -> LaurentA:
     return LaurentA({2: -1, -2: -1})
 
 
+@cache
+def _d_power(j: int) -> tuple[tuple[int, int], ...]:
+    """The (exponent, coefficient) terms of d**j, d = -A^2 - A^-2, highest first."""
+    sign = -1 if j & 1 else 1  # d**j = (-1)**j * sum of C(j, i) A**(2j - 4i)
+    return tuple((2 * j - 4 * i, sign * comb(j, i)) for i in range(j + 1))
+
+
 def state_sum(counts: dict[tuple[int, int], int]) -> LaurentA:
     """Sum of ``count * A**sigma * d**(components - 1)`` over ``(sigma, components)``."""
     out: dict[int, int] = {}
+    get = out.get
     for (sigma, comps), count in counts.items():
-        j = max(comps - 1, 0)  # no component reads as d**0
-        signed = -count if j & 1 else count  # d**j = (-1)**j * sum of C(j, i) A**(2j - 4i)
-        for i in range(j + 1):
-            e = sigma + 2 * j - 4 * i
-            out[e] = out.get(e, 0) + comb(j, i) * signed
+        for e, c in _d_power(comps - 1 if comps > 1 else 0):  # no component reads as d**0
+            e += sigma
+            out[e] = get(e, 0) + c * count
     return LaurentA(out)
 
 
 def writhe_normalize(value, w: int):
     """Multiply a LaurentA or ArrowPoly by ``(-A^3)**(-w)``, exactly."""
-    factor = LaurentA({-3 * w: -1 if w % 2 else 1})
+    sign = -1 if w % 2 else 1
     if isinstance(value, ArrowPoly):
-        return value.scale(factor)
-    return value * factor
+        return ArrowPoly({m: c.shift(-3 * w, sign) for m, c in value.terms.items()})
+    return value.shift(-3 * w, sign)
 
 
 @dataclass(frozen=True)
@@ -284,9 +291,6 @@ class ArrowPoly:
                 else:
                     out[m] = s
         return ArrowPoly(out)
-
-    def scale(self, factor: LaurentA) -> "ArrowPoly":
-        return ArrowPoly({m: c * factor for m, c in self.terms.items()})
 
     def substitute_lambda_with_k(self) -> "ArrowPoly":
         """Replace every L_i by K_i (the virtual-closure specialization)."""

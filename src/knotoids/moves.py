@@ -25,9 +25,11 @@ and the R3 slides if b >= 0.  Inserts are counted, not built: in
 then ``sign``; R2 row a (first site a) starts at 4a(2S - a) and holds 4
 inserts at site a twice (``over_site``, ``sign``), then 8 per later second
 site (``over_site``, ``parallel``, ``sign``).  ``random_walk`` builds only
-the move it draws.  R3 sites are found through a label index: the three
-pairs of a triangle carry the label sets {x,y}, {y,z} and {x,z}, so only
-such triples reach the pattern check.
+the move it draws.  The adjacent pairs and their label sets are listed
+once per code for the deletions and the slides.  R3 sites are found through
+a label index: the three pairs of a triangle carry the label sets {x,y},
+{y,z} and {x,z}, one over-over, one under-under and one mixed, so only such
+triples reach the pattern check.
 """
 
 from __future__ import annotations
@@ -108,9 +110,10 @@ def _move_table(code: KnotoidCode, max_crossings: int | None) -> _MoveTable:
     for ci, comp in enumerate(code.components):
         slots = len(comp.passages) + 1 if comp.kind == OPEN else max(len(comp.passages), 1)
         sites.extend((ci, pos) for pos in range(slots))
-    rest = [m for m in _deletion_moves(code) if m.crossing_delta() <= budget]
+    pairs = _labelled_pairs(code)
+    rest = [m for m in _deletion_moves(pairs) if m.crossing_delta() <= budget]
     if budget >= 0:
-        rest += _r3_moves(code)
+        rest += _r3_moves(code, pairs)
     s = len(sites)
     return _MoveTable(sites, 4 * s if budget >= 1 else 0, 4 * s * s if budget >= 2 else 0, rest)
 
@@ -143,46 +146,58 @@ def applicable_moves(code: KnotoidCode, max_crossings: int | None = None) -> lis
     return [move_at(table, i) for i in range(table.total)]
 
 
-def _deletion_moves(code: KnotoidCode) -> list[MoveSpec]:
+def _labelled_pairs(code: KnotoidCode) -> list[tuple]:
+    """(site, first, second, label set) of every adjacent pair, built once
+    per code for both the deletions and the R3 slides."""
+    return [
+        ((ci, pos), p, q, frozenset((p.label, q.label)))
+        for ci, comp in enumerate(code.components)
+        for pos, p, q in _adjacent_pairs(comp)
+    ]
+
+
+def _deletion_moves(pairs: list[tuple]) -> list[MoveSpec]:
     moves, over_pairs, under_pairs = [], [], {}
-    for ci, comp in enumerate(code.components):
-        for pos, p, q in _adjacent_pairs(comp):
-            if p.label == q.label:
-                moves.append(MoveSpec(R1_DELETE, ((ci, pos),)))
-            elif p.role == q.role == OVER and p.sign == -q.sign:
-                over_pairs.append((ci, pos, frozenset((p.label, q.label))))
-            elif p.role == q.role == UNDER:
-                under_pairs.setdefault(frozenset((p.label, q.label)), []).append((ci, pos))
+    for site, p, q, key in pairs:
+        if p.label == q.label:
+            moves.append(MoveSpec(R1_DELETE, (site,)))
+        elif p.role == q.role == OVER and p.sign == -q.sign:
+            over_pairs.append((site, key))
+        elif p.role == q.role == UNDER:
+            under_pairs.setdefault(key, []).append(site)
     # An over pair and an under pair never share a passage, and a pair of
     # distinct labels meets its label set in one of the two orders.
-    for ci, pos, key in over_pairs:
-        for cj, pos2 in under_pairs.get(key, ()):
-            moves.append(MoveSpec(R2_DELETE, ((ci, pos), (cj, pos2))))
+    for site, key in over_pairs:
+        for other in under_pairs.get(key, ()):
+            moves.append(MoveSpec(R2_DELETE, (site, other)))
     return moves
 
 
-def _r3_moves(code: KnotoidCode) -> list[MoveSpec]:
-    """R3 sites in index order; ``_valid_r3`` sees only the label triangles."""
-    pair_list, keys, by_label, by_set = [], [], {}, {}
-    for ci, comp in enumerate(code.components):
-        for pos, p, q in _adjacent_pairs(comp):
-            if p.label != q.label:
-                key = frozenset((p.label, q.label))
-                for label in key:
-                    by_label.setdefault(label, []).append(len(keys))
-                by_set.setdefault(key, []).append(len(keys))
-                pair_list.append(((ci, pos), p, q))
-                keys.append(key)
+def _r3_moves(code: KnotoidCode, pairs: list[tuple]) -> list[MoveSpec]:
+    """R3 sites in index order.  Each over-over pair meets the under-under
+    pairs that share one of its labels, then the mixed pairs that carry the
+    remaining label set; only those triples reach ``_valid_r3``."""
+    over, under_by_label, mixed_by_set = [], {}, {}
+    for i, (_, p, q, key) in enumerate(pairs):
+        if p.label == q.label:
+            continue
+        if p.role != q.role:
+            mixed_by_set.setdefault(key, []).append(i)
+        elif p.role == OVER:
+            over.append(i)
+        else:
+            for label in key:
+                under_by_label.setdefault(label, []).append(i)
     triples = [
-        (a, b, c)
-        for indices in by_label.values()
-        for a, b in itertools.combinations(indices, 2)
-        for c in by_set.get(keys[a] ^ keys[b], ())
-        if c > b
+        sorted((t, b, m))
+        for t in over
+        for label in pairs[t][3]
+        for b in under_by_label.get(label, ())
+        for m in mixed_by_set.get(pairs[t][3] ^ pairs[b][3], ())
     ]
     moves = []
     for triple in sorted(triples):
-        sites = tuple(pair_list[i] for i in triple)
+        sites = tuple(pairs[i][:3] for i in triple)
         if _valid_r3(code, sites):
             moves.append(MoveSpec(R3_SLIDE, tuple(site for site, _, _ in sites)))
     return moves

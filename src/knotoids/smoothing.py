@@ -18,7 +18,9 @@ follows the number of distinct pairings rather than 2^n.  A partial state
 is a mate array over the step's boundary positions: slot ``2i`` holds the
 slot of position ``i``'s partner and slot ``2i + 1`` the word read towards
 it, packed as signed bytes, or as 8-byte ints when a slot or a word could
-pass 127.  Each step is planned from the ends alone; a state then costs
+pass 127.  Each step is planned from the ends alone, by a builder that
+carries the boundary, each end's slot and the stub flags from step to step
+and touches only the ends a step opens, retires or moves; a state then costs
 an array copy, two joins, a few slot moves and a byte slice, and its counts
 pass to its successors by reference, under an offset that adds the step's
 sigma and circles.  The bracket and the arrow polynomial smooth every
@@ -36,24 +38,21 @@ elements of the infinite dihedral group: the reduced product of ``w1`` and
 word read backwards (each side flips) is negated when it is odd.
 
 The tests' independent references visit the 2^n states one by one:
-``trace_state`` is the one per-state walk, and ``CompiledCode.scan``,
-``resolve`` and ``enumerate_states`` are views of it, with cusp words
-reduced by ``_linear_reduce`` and ``_cyclic_reduce``.
+``trace_state`` is the one per-state walk, and ``CompiledCode.scan`` and
+the tests' ``resolve`` and ``enumerate_states`` (``tests/reference.py``)
+are views of it, with cusp words reduced by ``_linear_reduce`` and
+``_cyclic_reduce``.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 
 from .codes import (
     EVEN, CrossingInfo, KnotoidCode, OPEN, OVER, classify_crossings, label_order, occurrences,
 )
-from .errors import IncompleteChoice, LimitExceeded
-
-ORIENTED = "oriented"
-DISORIENTED = "disoriented"
+from .errors import LimitExceeded
 
 DEFAULT_STATE_LIMIT = 24
 
@@ -215,17 +214,22 @@ class CompiledCode:
         """
         n = self.n
         crossings = list(range(n)) if smooth is None else sorted(smooth)
+        smoothed = set(crossings)
+        succ, pred, pass_crossing = self.succ, self.pred, self.pass_crossing
         links: list[list[int]] = [[] for _ in range(n)]  # arcs to other smoothed crossings
         start_delta = [0] * n  # boundary change of smoothing k first
         for k in crossings:
             a, b = self.cross_over[k], self.cross_under[k]
             for e in (2 * a, 2 * a + 1, 2 * b, 2 * b + 1):
-                far = self.crossing_of(self.arc_end(e))
+                far = succ[e] if e & 1 else pred[e]
+                far = pass_crossing[far >> 1] if far >= 0 else -1
                 if far != k:
                     start_delta[k] += 1
-                    if far in crossings:
+                    if far in smoothed:
                         links[k].append(far)
-        best: tuple[tuple[int, int], list[int]] | None = None
+        # No width passes four ends per smoothed crossing, so the first pass
+        # to finish beats this start.
+        best, best_peak, best_cost = [], 4 * len(crossings) + 1, 0
         for first in crossings:
             delta = start_delta[:]
             todo = crossings[:]
@@ -235,17 +239,18 @@ class CompiledCode:
                 todo.remove(k)
                 order.append(k)
                 width += delta[k]
-                peak = max(peak, width)
+                if width > peak:
+                    peak = width
                 cost += 1 << width
-                if best is not None and (peak, cost) >= best[0]:
+                if peak > best_peak or peak == best_peak and cost >= best_cost:
                     break  # both only grow, so this start cannot win
                 for f in links[k]:
                     delta[f] -= 2  # that arc now leads into the smoothed region
                 if not todo:
-                    best = ((peak, cost), order)
+                    best, best_peak, best_cost = order, peak, cost
                     break
                 k = min(todo, key=delta.__getitem__)
-        return best[1] if best else []
+        return best
 
     def contract(self, want_words: bool) -> dict[tuple[int, int, tuple, tuple], int]:
         """State counts keyed by (sigma, components, K indices, L indices).
@@ -394,48 +399,72 @@ class CompiledCode:
         arrow (indexed by ``want_words``), the (old, new) slot moves that
         fill the crossing's retired slots from beyond the cut, and the cut,
         the new key's slot count.
+
+        The boundary (``row``), each end's slot and the stub flags carry over
+        from step to step: a step appends its fresh ends, moves the kept ends
+        beyond the cut into the retired positions and drops the four retired
+        ends, so its Python work does not grow with the boundary's width (only
+        the snapshot of the stub flags copies them).  The tests keep the
+        planner that rebuilt all three at every step as the reference.
         """
         key = tuple(range(self.n) if smooth is None else sorted(set(smooth)))
         if key in self.plans:
             return self.plans[key]
-        sigma_tab = self.sigma_table()
+        succ, pred, cross_sign = self.succ, self.pred, self.cross_sign
+        cross_over, cross_under = self.cross_over, self.cross_under
         cusp = [1 if s == "R" else -1 for s in self.side_char]
-        done = [False] * self.n
-        boundary: list[int] = []
+        # A reduced word on a pending arc has at most two cusps per crossing,
+        # so slots (and words) fit signed bytes while both stay below 128,
+        # as they do when every end and stub fits: then tails pack at once.
+        wide = 4 * (self.P + len(self.open_comps)) >= 128
+        row: list[int] = []  # the boundary's ends by position
+        slot: dict[int, int] = {}  # each boundary end's mate slot, twice its position
+        stub = bytearray()  # per slot, 1 when its end is a stub
+        pop = slot.pop
         steps = []
         for k in self.contraction_order(key):
-            a, b = self.cross_over[k], self.cross_under[k]
+            a, b = cross_over[k], cross_under[k]
             ends = (2 * a, 2 * a + 1, 2 * b, 2 * b + 1)
-            fresh = {}  # arcs of k that do not yet lead into the smoothed region
+            tail = []
             for e in ends:
-                far = self.arc_end(e)
-                if far < 0 or not done[self.crossing_of(far)]:
-                    fresh[e] = far
-                    fresh[far] = e
-            done[k] = True
-            row = boundary + list(fresh)
-            slot = {e: 2 * i for i, e in enumerate(row)}
-            tail = [v for e in fresh for v in (slot[fresh[e]], 0)]
-            stub = bytes(e < 0 for e in row for _ in (0, 1))
-            ia, oa, ib, ob = (slot[e] for e in ends)
+                # An end already on the boundary has its arc leading into the
+                # smoothed region; any other opens its arc, whose far end (a
+                # stub, or an end of an unsmoothed crossing or of k) is new.
+                if e not in slot:
+                    far = succ[e] if e & 1 else pred[e]
+                    i = 2 * len(row)
+                    slot[e], slot[far] = i, i + 2
+                    row += (e, far)
+                    stub += b"\0\0\1\1" if far < 0 else b"\0\0\0\0"
+                    tail += (i + 2, 0, i, 0)
+            ia, oa, ib, ob = pop(ends[0]), pop(ends[1]), pop(ends[2]), pop(ends[3])
             # A disoriented site puts one cusp on each of its two joins,
             # read on the side of passage a when entering through ia or oa.
-            oriented = (sigma_tab[k][0], ((ia, ob, 0), (ib, oa, 0)))
-            choices = tuple(
-                (oriented, (sigma_tab[k][1], ((ia, ib, c), (oa, ob, c)))) for c in (0, cusp[a])
+            s = 1 if cross_sign[k] > 0 else -1
+            oriented = (s, ((ia, ob, 0), (ib, oa, 0)))
+            c = cusp[a]
+            choices = (
+                (oriented, (-s, ((ia, ib, 0), (oa, ob, 0)))),
+                (oriented, (-s, ((ia, ib, c), (oa, ob, c)))),
             )
-            cut = 2 * (len(row) - 4)
-            holes = sorted(slot[e] for e in ends if slot[e] < cut)
-            kept = [i for i in range(cut, 2 * len(row), 2) if row[i >> 1] not in ends]
-            for old, new in zip(kept, holes):
-                row[new >> 1] = row[old >> 1]
-            steps.append((tail, stub, choices, list(zip(kept, holes)), cut))
-            boundary = row[: cut >> 1]
-        # A reduced word on a pending arc has at most two cusps per crossing,
-        # so slots (and words) fit signed bytes while both stay below 128.
-        typecode = "b" if max([2 * self.n] + [len(step[1]) for step in steps]) < 128 else "q"
-        steps = [(array(typecode, tail).tobytes(), *rest) for tail, *rest in steps]
-        plan = self.plans[key] = (steps, boundary, typecode)
+            # The four retired ends leave; kept ends among the last four
+            # positions fill, in order, the retired positions below the cut.
+            cut = 2 * len(row) - 8
+            retired = sorted((ia, oa, ib, ob))
+            moves = []
+            if retired[0] < cut:
+                moves = list(zip([x for x in range(cut, cut + 8, 2) if x not in retired], retired))
+            steps.append((tail if wide else bytes(tail), bytes(stub), choices, moves, cut))
+            for old, new in moves:
+                e = row[new >> 1] = row[old >> 1]
+                slot[e] = new
+                stub[new] = stub[new + 1] = stub[old]
+            del row[cut >> 1 :], stub[cut:]
+        typecode = "b"
+        if wide:
+            typecode = "b" if max([2 * self.n] + [len(step[1]) for step in steps]) < 128 else "q"
+            steps = [(array(typecode, tail).tobytes(), *rest) for tail, *rest in steps]
+        plan = self.plans[key] = (steps, row[:], typecode)  # a copy sheds spare capacity
         return plan
 
     def sigma_table(self) -> list[tuple[int, int]]:
@@ -447,86 +476,6 @@ class CompiledCode:
             else:
                 table.append((-1, 1))
         return table
-
-
-@dataclass(frozen=True)
-class Cusp:
-    """One cusp on a state component: side L or R in the traversal frame."""
-
-    side: str
-
-
-@dataclass(frozen=True)
-class StateComponent:
-    kind: str  # segment | circle
-    cusps: tuple[Cusp, ...]
-
-
-@dataclass(frozen=True)
-class StateResolution:
-    components: tuple[StateComponent, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.components)
-
-
-@dataclass(frozen=True)
-class SmoothingChoice:
-    """A total assignment of oriented/disoriented to every crossing label."""
-
-    choices: tuple[tuple[str, str], ...]  # (label, ORIENTED|DISORIENTED)
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.choices)
-
-
-def ab_label(sign: int, choice: str) -> str:
-    """The A/B smoothing label implied by a crossing sign and a choice."""
-    if sign > 0:
-        return "A" if choice == ORIENTED else "B"
-    return "B" if choice == ORIENTED else "A"
-
-
-def resolve(code: KnotoidCode, choice: SmoothingChoice) -> StateResolution:
-    """Apply a smoothing assignment and traverse the resulting components."""
-    compiled = CompiledCode(code)
-    chosen = choice.as_dict()
-    missing = [lab for lab in compiled.labels if lab not in chosen]
-    if missing:
-        raise IncompleteChoice(f"no smoothing chosen for {missing[0]!r}")
-    mask = 0
-    for k, lab in enumerate(compiled.labels):
-        if chosen[lab] == DISORIENTED:
-            mask |= 1 << k
-        elif chosen[lab] != ORIENTED:
-            raise IncompleteChoice(f"bad smoothing {chosen[lab]!r} for {lab!r}")
-    return _resolution(compiled, mask)
-
-
-def enumerate_states(code: KnotoidCode, state_limit: int = DEFAULT_STATE_LIMIT):
-    """Yield every (SmoothingChoice, StateResolution) pair, mask order."""
-    compiled = CompiledCode(code)
-    if compiled.n > state_limit:
-        raise LimitExceeded(
-            f"{compiled.n} crossings exceed the state limit {state_limit}"
-        )
-    for mask in range(1 << compiled.n):
-        choice = SmoothingChoice(
-            tuple(
-                (lab, DISORIENTED if (mask >> k) & 1 else ORIENTED)
-                for k, lab in enumerate(compiled.labels)
-            )
-        )
-        yield choice, _resolution(compiled, mask)
-
-
-def _resolution(compiled: CompiledCode, mask: int) -> StateResolution:
-    segments, circles, free = trace_state(compiled, compiled.glue_for_mask(mask), True)
-    comps = [StateComponent(SEGMENT, tuple(Cusp(s) for s in word)) for word in segments]
-    comps.extend(StateComponent(CIRCLE, tuple(Cusp(s) for s in word)) for word in circles)
-    comps.extend(StateComponent(CIRCLE, ()) for _ in range(free))
-    return StateResolution(tuple(comps))
 
 
 def trace_state(compiled: CompiledCode, glue: list[int], want_words: bool):

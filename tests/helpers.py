@@ -61,6 +61,41 @@ def random_multi_code(rng: random.Random, n: int, empty: bool = False) -> Knotoi
     return code
 
 
+def chord_diagrams(n: int):
+    """All pairings of 2n positions, each pair listed with its first position."""
+    def rec(positions):
+        if not positions:
+            yield []
+            return
+        first = positions[0]
+        for j in range(1, len(positions)):
+            rest = positions[1:j] + positions[j + 1:]
+            for tail in rec(rest):
+                yield [(first, positions[j])] + tail
+    yield from rec(tuple(range(2 * n)))
+
+
+def build(pairs, role_mask: int, sign_mask: int) -> KnotoidCode:
+    """The one-leg code whose crossing k sits at ``pairs[k]``, over first when
+    bit k of ``role_mask`` is set and positive when bit k of ``sign_mask`` is."""
+    slots = [None] * (2 * len(pairs))
+    for k, (i, j) in enumerate(pairs):
+        over_first = (role_mask >> k) & 1
+        sign = 1 if (sign_mask >> k) & 1 else -1
+        label = chr(ord("a") + k)
+        slots[i] = Passage("O" if over_first else "U", label, sign)
+        slots[j] = Passage("U" if over_first else "O", label, sign)
+    return KnotoidCode((ComponentCode("open", tuple(slots)),))
+
+
+def all_codes(n: int):
+    """Every one-leg code with n crossings: each chord diagram, role and sign."""
+    for pairs in chord_diagrams(n):
+        for role_mask in range(1 << n):
+            for sign_mask in range(1 << n):
+                yield build(pairs, role_mask, sign_mask)
+
+
 def invariant_suite(code):
     """The move-invariant bundle: odd writhe, f_K, arrow, affine, parity."""
     return (

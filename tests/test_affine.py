@@ -63,6 +63,21 @@ def test_affine_fig1f():
     assert affine_index(code) == AffinePoly({1: 2, -1: 2, 0: -4})
 
 
+def test_affine_index_is_the_sum_of_crossing_terms():
+    """One dict of weights equals the sum of sign * (t^w - 1) over the
+    weight chart, one AffinePoly per term."""
+    from knotoids.catalog import load_catalog
+
+    rng = random.Random(15)
+    codes = [random_code(rng, rng.randint(0, 12)) for _ in range(200)]
+    codes += [e.code for e in load_catalog() if len(e.code.components) == 1]
+    for code in codes:
+        expected = AffinePoly.zero()
+        for e in weight_chart(code).entries:
+            expected = expected + AffinePoly({e.w_selected: e.sign}) - AffinePoly({0: e.sign})
+        assert affine_index(code) == expected, code
+
+
 def test_shape_errors():
     multi = parse("open: O1+\nloop: U1+")
     with pytest.raises(ShapeError):

@@ -19,6 +19,7 @@ from knotoids.codes import (
 )
 from knotoids.smoothing import CompiledCode
 from helpers import random_code, random_multi_code
+from reference import reference_plan
 
 
 def scan_counts(compiled: CompiledCode, want_words: bool) -> dict:
@@ -157,6 +158,50 @@ def test_cut_passes_keep_the_uncut_order():
         assert compiled.contraction_order(even) == uncut_order(compiled, even), code
         subsets += 0 < len(even) < compiled.n
     assert subsets >= 60
+
+
+def plan_families():
+    rng = random.Random(50)
+    for _ in range(100):
+        yield random_code(rng, rng.randint(0, 24), loops=rng.randint(0, 3))
+    for i in range(80):
+        yield random_multi_code(rng, rng.randint(0, 16), empty=i % 2 == 0)
+    for _ in range(40):
+        yield virtual_closure(random_code(rng, rng.randint(0, 12)))
+    for entry in load_catalog():
+        yield entry.code
+
+
+def test_incremental_plan_matches_the_reference():
+    """The plan that carries its boundary from step to step equals the one
+    rebuilt at every step: steps, final boundary and typecode, over every
+    crossing and over the even crossings."""
+    subsets = 0
+    for code in plan_families():
+        compiled = CompiledCode(code)
+        even = [compiled.index_of[i.label] for i in classify_crossings(code) if i.parity == EVEN]
+        for smooth in (None, even):
+            assert compiled._plan(smooth) == reference_plan(compiled, smooth), (code, smooth)
+        subsets += 0 < len(even) < compiled.n
+    assert subsets >= 60
+
+
+def test_wide_plans_match_the_reference():
+    # Codes with ends enough to pass a signed byte pack their tails after
+    # the last step, in the typecode their widest boundary needs.
+    typecodes = set()
+    for name, code in wide_codes():
+        compiled = CompiledCode(code)
+        plan = compiled._plan(None)
+        assert plan == reference_plan(compiled), name
+        typecodes.add(plan[2])
+    assert typecodes == {"b", "q"}
+    # 30 legs of one passage each: only with their 60 stubs, which never
+    # retire, does the last step's boundary need 8-byte slots.
+    stubs = parse("\n".join(f"open: O{i}+\nopen: U{i}+" for i in range(15)))
+    compiled = CompiledCode(stubs)
+    assert compiled.P < 32 and compiled._plan(None)[2] == "q"
+    assert compiled._plan(None) == reference_plan(compiled)
 
 
 def test_wide_packing_with_many_components():

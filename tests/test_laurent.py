@@ -8,6 +8,7 @@ from knotoids.laurent import (
     ArrowPoly,
     LaurentA,
     loop_value,
+    state_sum,
     writhe_normalize,
 )
 
@@ -47,6 +48,44 @@ def test_writhe_normalize_additive():
         p = random_laurent(rng)
         a, b = rng.randint(-4, 4), rng.randint(-4, 4)
         assert writhe_normalize(p, a + b) == writhe_normalize(writhe_normalize(p, a), b)
+
+
+def test_writhe_normalize_is_the_product_by_the_unit():
+    rng = random.Random(13)
+    for _ in range(100):
+        w = rng.randint(-7, 7)
+        unit = LaurentA({-3 * w: -1 if w % 2 else 1})
+        p = random_laurent(rng)
+        assert writhe_normalize(p, w) == p * unit
+        arrow = ArrowPoly(
+            {ArrowMonomial.build((rng.randint(1, 3),), ()): random_laurent(rng) for _ in range(3)}
+        )
+        product = ArrowPoly({m: c * unit for m, c in arrow.terms.items()})
+        assert writhe_normalize(arrow, w) == product
+
+
+def expanded_state_sum(counts):
+    """The state sum with d**j built as j products of ``loop_value()``."""
+    total = LaurentA.zero()
+    for (sigma, comps), count in counts.items():
+        power = LaurentA.one()
+        for _ in range(comps - 1):
+            power = power * loop_value()
+        total = total + power.shift(sigma, count)
+    return total
+
+
+def test_state_sum_matches_the_expansion_by_loop_values():
+    rng = random.Random(14)
+    comps_seen = set()
+    for _ in range(150):
+        counts = {
+            (rng.randint(-40, 40), rng.choice((0, 1, rng.randint(0, 41)))): rng.randint(-50, 50)
+            for _ in range(rng.randint(0, 12))
+        }
+        comps_seen.update(comps for _, comps in counts)
+        assert state_sum(counts) == expanded_state_sum(counts), counts
+    assert {0, 1, 41} <= comps_seen
 
 
 def test_max_degree():

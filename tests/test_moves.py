@@ -20,6 +20,7 @@ from knotoids.moves import (
     R3_SLIDE,
     _adjacent_pairs,
     _deletion_moves,
+    _labelled_pairs,
     _r3_moves,
     _valid_r3,
     applicable_moves,
@@ -316,12 +317,13 @@ UNSORTED_R3 = (
 
 
 def test_indexed_r3_matches_triple_scan():
-    assert len(_r3_moves(parse(UNSORTED_R3))) >= 2
+    unsorted = parse(UNSORTED_R3)
+    assert len(_r3_moves(unsorted, _labelled_pairs(unsorted))) >= 2
     codes = [parse(UNSORTED_R3)] + _differential_codes()
     with_sites = 0
     for code in codes:
         expected = _r3_scan(code)
-        assert _r3_moves(code) == expected, serialize(code)
+        assert _r3_moves(code, _labelled_pairs(code)) == expected, serialize(code)
         with_sites += bool(expected)
     assert with_sites >= 200
 
@@ -363,7 +365,8 @@ def reference_moves(code, max_crossings):
             if not (parallel and s1 == s2)
             for sign in (1, -1)
         ]
-    moves.extend(m for m in _deletion_moves(code) if m.crossing_delta() <= budget)
+    deletions = _deletion_moves(_labelled_pairs(code))
+    moves.extend(m for m in deletions if m.crossing_delta() <= budget)
     if budget >= 0:
         moves.extend(_r3_scan(code))
     return moves
@@ -408,6 +411,9 @@ def test_walk_builds_only_the_drawn_move(monkeypatch):
             walk = random_walk(code, steps=20, seed=seed, max_crossings=10)
         # Deletions and R3 slides are enumerated; of the inserts, only the
         # drawn one is built.
-        bound = sum(len(_deletion_moves(c)) + len(_r3_moves(c)) + 1 for c in walk[:-1])
+        bound = sum(
+            len(_deletion_moves(_labelled_pairs(c))) + len(_r3_moves(c, _labelled_pairs(c))) + 1
+            for c in walk[:-1]
+        )
         assert 0 < len(built) <= bound
         built.clear()

@@ -62,7 +62,7 @@ def random_multi_code(rng: random.Random, n: int, empty: bool = False) -> Knotoi
 
 
 def chord_diagrams(n: int):
-    """All pairings of 2n positions, each pair listed with its first position."""
+    """All pairings of 2n positions, each pair and the pairs in order of first position."""
     def rec(positions):
         if not positions:
             yield []

@@ -224,6 +224,30 @@ def serialize(code: KnotoidCode) -> str:
     return "\n".join(lines) + "\n"
 
 
+def same_diagram(first: KnotoidCode, second: KnotoidCode) -> bool:
+    """Structural equality with loop components compared up to rotation.
+
+    Serialization stores an explicit rotation anchor, so ``==`` is strict;
+    this helper forgets the anchor.
+    """
+    if len(first.components) != len(second.components):
+        return False
+    for a, b in zip(first.components, second.components):
+        if a.kind != b.kind or len(a) != len(b):
+            return False
+        if a.kind == OPEN or not a.passages:
+            if a.passages != b.passages:
+                return False
+            continue
+        doubled = b.passages + b.passages
+        if not any(
+            doubled[r : r + len(a.passages)] == a.passages
+            for r in range(len(a.passages))
+        ):
+            return False
+    return True
+
+
 def reverse(code: KnotoidCode) -> KnotoidCode:
     """Reverse the diagram orientation: tail and head swap, signs persist."""
     comps = tuple(

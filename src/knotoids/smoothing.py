@@ -38,21 +38,24 @@ elements of the infinite dihedral group: the reduced product of ``w1`` and
 word read backwards (each side flips) is negated when it is odd.
 
 The tests' independent references visit the 2^n states one by one:
-``trace_state`` is the one per-state walk, and ``CompiledCode.scan`` and
-the tests' ``resolve`` and ``enumerate_states`` (``tests/reference.py``)
-are views of it, with cusp words reduced by ``_linear_reduce`` and
-``_cyclic_reduce``.
+``trace_state`` is the one per-state walk, and ``CompiledCode.scan``,
+``resolve`` and ``enumerate_states`` are views of it, with cusp words
+reduced by ``_linear_reduce`` and ``_cyclic_reduce``.
 """
 
 from __future__ import annotations
 
 from array import array
+from dataclasses import dataclass
 from functools import cached_property
 
 from .codes import (
     EVEN, CrossingInfo, KnotoidCode, OPEN, OVER, classify_crossings, label_order, occurrences,
 )
-from .errors import LimitExceeded
+from .errors import IncompleteChoice, LimitExceeded
+
+ORIENTED = "oriented"
+DISORIENTED = "disoriented"
 
 DEFAULT_STATE_LIMIT = 24
 
@@ -401,26 +404,20 @@ class CompiledCode:
         the new key's slot count.
 
         The boundary (``row``), each end's slot and the stub flags carry over
-        from step to step: a step appends its fresh ends, moves the kept ends
-        beyond the cut into the retired positions and drops the four retired
-        ends, so its Python work does not grow with the boundary's width (only
-        the snapshot of the stub flags copies them).  The tests keep the
-        planner that rebuilt all three at every step as the reference.
+        from step to step, and a step touches only the ends it opens, retires
+        or moves.  The tests keep the planner that rebuilt all three at every
+        step as the reference.
         """
         key = tuple(range(self.n) if smooth is None else sorted(set(smooth)))
         if key in self.plans:
             return self.plans[key]
-        succ, pred, cross_sign = self.succ, self.pred, self.cross_sign
+        succ, pred = self.succ, self.pred
         cross_over, cross_under = self.cross_over, self.cross_under
+        sigma_tab = self.sigma_table()
         cusp = [1 if s == "R" else -1 for s in self.side_char]
-        # A reduced word on a pending arc has at most two cusps per crossing,
-        # so slots (and words) fit signed bytes while both stay below 128,
-        # as they do when every end and stub fits: then tails pack at once.
-        wide = 4 * (self.P + len(self.open_comps)) >= 128
         row: list[int] = []  # the boundary's ends by position
         slot: dict[int, int] = {}  # each boundary end's mate slot, twice its position
         stub = bytearray()  # per slot, 1 when its end is a stub
-        pop = slot.pop
         steps = []
         for k in self.contraction_order(key):
             a, b = cross_over[k], cross_under[k]
@@ -437,15 +434,15 @@ class CompiledCode:
                     row += (e, far)
                     stub += b"\0\0\1\1" if far < 0 else b"\0\0\0\0"
                     tail += (i + 2, 0, i, 0)
-            ia, oa, ib, ob = pop(ends[0]), pop(ends[1]), pop(ends[2]), pop(ends[3])
+            ia, oa, ib, ob = map(slot.pop, ends)
             # A disoriented site puts one cusp on each of its two joins,
             # read on the side of passage a when entering through ia or oa.
-            s = 1 if cross_sign[k] > 0 else -1
-            oriented = (s, ((ia, ob, 0), (ib, oa, 0)))
+            o, d = sigma_tab[k]
+            oriented = (o, ((ia, ob, 0), (ib, oa, 0)))
             c = cusp[a]
             choices = (
-                (oriented, (-s, ((ia, ib, 0), (oa, ob, 0)))),
-                (oriented, (-s, ((ia, ib, c), (oa, ob, c)))),
+                (oriented, (d, ((ia, ib, 0), (oa, ob, 0)))),
+                (oriented, (d, ((ia, ib, c), (oa, ob, c)))),
             )
             # The four retired ends leave; kept ends among the last four
             # positions fill, in order, the retired positions below the cut.
@@ -454,28 +451,102 @@ class CompiledCode:
             moves = []
             if retired[0] < cut:
                 moves = list(zip([x for x in range(cut, cut + 8, 2) if x not in retired], retired))
-            steps.append((tail if wide else bytes(tail), bytes(stub), choices, moves, cut))
+            steps.append((tail, bytes(stub), choices, moves, cut))
             for old, new in moves:
                 e = row[new >> 1] = row[old >> 1]
                 slot[e] = new
                 stub[new] = stub[new + 1] = stub[old]
             del row[cut >> 1 :], stub[cut:]
-        typecode = "b"
-        if wide:
-            typecode = "b" if max([2 * self.n] + [len(step[1]) for step in steps]) < 128 else "q"
-            steps = [(array(typecode, tail).tobytes(), *rest) for tail, *rest in steps]
+        # A reduced word on a pending arc has at most two cusps per crossing,
+        # so slots (and words) fit signed bytes while both stay below 128.
+        typecode = "b" if max([2 * self.n] + [len(step[1]) for step in steps]) < 128 else "q"
+        steps = [(array(typecode, tail).tobytes(), *rest) for tail, *rest in steps]
         plan = self.plans[key] = (steps, row[:], typecode)  # a copy sheds spare capacity
         return plan
 
     def sigma_table(self) -> list[tuple[int, int]]:
         """Per crossing (oriented, disoriented) contributions to #A - #B."""
-        table = []
-        for k in range(self.n):
-            if self.cross_sign[k] > 0:
-                table.append((1, -1))
-            else:
-                table.append((-1, 1))
-        return table
+        return [(1, -1) if s > 0 else (-1, 1) for s in self.cross_sign]
+
+
+@dataclass(frozen=True)
+class Cusp:
+    """One cusp on a state component: side L or R in the traversal frame."""
+
+    side: str
+
+
+@dataclass(frozen=True)
+class StateComponent:
+    kind: str  # segment | circle
+    cusps: tuple[Cusp, ...]
+
+
+@dataclass(frozen=True)
+class StateResolution:
+    components: tuple[StateComponent, ...]
+
+    @property
+    def count(self) -> int:
+        return len(self.components)
+
+
+@dataclass(frozen=True)
+class SmoothingChoice:
+    """A total assignment of oriented/disoriented to every crossing label."""
+
+    choices: tuple[tuple[str, str], ...]  # (label, ORIENTED|DISORIENTED)
+
+    def as_dict(self) -> dict[str, str]:
+        return dict(self.choices)
+
+
+def ab_label(sign: int, choice: str) -> str:
+    """The A/B smoothing label implied by a crossing sign and a choice."""
+    if sign > 0:
+        return "A" if choice == ORIENTED else "B"
+    return "B" if choice == ORIENTED else "A"
+
+
+def resolve(code: KnotoidCode, choice: SmoothingChoice) -> StateResolution:
+    """Apply a smoothing assignment and traverse the resulting components."""
+    compiled = CompiledCode(code)
+    chosen = choice.as_dict()
+    missing = [lab for lab in compiled.labels if lab not in chosen]
+    if missing:
+        raise IncompleteChoice(f"no smoothing chosen for {missing[0]!r}")
+    mask = 0
+    for k, lab in enumerate(compiled.labels):
+        if chosen[lab] == DISORIENTED:
+            mask |= 1 << k
+        elif chosen[lab] != ORIENTED:
+            raise IncompleteChoice(f"bad smoothing {chosen[lab]!r} for {lab!r}")
+    return _resolution(compiled, mask)
+
+
+def enumerate_states(code: KnotoidCode, state_limit: int = DEFAULT_STATE_LIMIT):
+    """Yield every (SmoothingChoice, StateResolution) pair, mask order."""
+    compiled = CompiledCode(code)
+    if compiled.n > state_limit:
+        raise LimitExceeded(
+            f"{compiled.n} crossings exceed the state limit {state_limit}"
+        )
+    for mask in range(1 << compiled.n):
+        choice = SmoothingChoice(
+            tuple(
+                (lab, DISORIENTED if (mask >> k) & 1 else ORIENTED)
+                for k, lab in enumerate(compiled.labels)
+            )
+        )
+        yield choice, _resolution(compiled, mask)
+
+
+def _resolution(compiled: CompiledCode, mask: int) -> StateResolution:
+    segments, circles, free = trace_state(compiled, compiled.glue_for_mask(mask), True)
+    comps = [StateComponent(SEGMENT, tuple(Cusp(s) for s in word)) for word in segments]
+    comps.extend(StateComponent(CIRCLE, tuple(Cusp(s) for s in word)) for word in circles)
+    comps.extend(StateComponent(CIRCLE, ()) for _ in range(free))
+    return StateResolution(tuple(comps))
 
 
 def trace_state(compiled: CompiledCode, glue: list[int], want_words: bool):

@@ -1,27 +1,11 @@
-"""Independent references that the tests compare the engines against.
+"""The contraction planner that rebuilt the whole boundary at every step.
 
-``reference_plan`` is the contraction planner that rebuilt the whole
-boundary at every step: its row of ends, a slot per end and the stub flags,
-each from scratch.  ``CompiledCode._plan`` carries them from step to step
-and must build equal plans.
-
-``resolve`` and ``enumerate_states`` resolve one state, or every state in
-mask order, into components with their cusps, through the library's one
-per-state walk ``smoothing.trace_state``.  ``same_diagram`` compares codes
-with loop components up to rotation.
+``reference_plan`` builds its row of ends, a slot per end and the stub
+flags from scratch at each step.  ``CompiledCode._plan`` carries them from
+step to step and must build equal plans.
 """
 
 from array import array
-from dataclasses import dataclass
-
-from knotoids.codes import OPEN, KnotoidCode
-from knotoids.errors import IncompleteChoice, LimitExceeded
-from knotoids.smoothing import (
-    CIRCLE, DEFAULT_STATE_LIMIT, SEGMENT, CompiledCode, trace_state,
-)
-
-ORIENTED = "oriented"
-DISORIENTED = "disoriented"
 
 
 def reference_plan(compiled, smooth=None):
@@ -61,107 +45,3 @@ def reference_plan(compiled, smooth=None):
     typecode = "b" if max([2 * compiled.n] + [len(step[1]) for step in steps]) < 128 else "q"
     steps = [(array(typecode, tail).tobytes(), *rest) for tail, *rest in steps]
     return steps, boundary, typecode
-
-
-@dataclass(frozen=True)
-class Cusp:
-    """One cusp on a state component: side L or R in the traversal frame."""
-
-    side: str
-
-
-@dataclass(frozen=True)
-class StateComponent:
-    kind: str  # segment | circle
-    cusps: tuple[Cusp, ...]
-
-
-@dataclass(frozen=True)
-class StateResolution:
-    components: tuple[StateComponent, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.components)
-
-
-@dataclass(frozen=True)
-class SmoothingChoice:
-    """A total assignment of oriented/disoriented to every crossing label."""
-
-    choices: tuple[tuple[str, str], ...]  # (label, ORIENTED|DISORIENTED)
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.choices)
-
-
-def ab_label(sign: int, choice: str) -> str:
-    """The A/B smoothing label implied by a crossing sign and a choice."""
-    if sign > 0:
-        return "A" if choice == ORIENTED else "B"
-    return "B" if choice == ORIENTED else "A"
-
-
-def resolve(code: KnotoidCode, choice: SmoothingChoice) -> StateResolution:
-    """Apply a smoothing assignment and traverse the resulting components."""
-    compiled = CompiledCode(code)
-    chosen = choice.as_dict()
-    missing = [lab for lab in compiled.labels if lab not in chosen]
-    if missing:
-        raise IncompleteChoice(f"no smoothing chosen for {missing[0]!r}")
-    mask = 0
-    for k, lab in enumerate(compiled.labels):
-        if chosen[lab] == DISORIENTED:
-            mask |= 1 << k
-        elif chosen[lab] != ORIENTED:
-            raise IncompleteChoice(f"bad smoothing {chosen[lab]!r} for {lab!r}")
-    return _resolution(compiled, mask)
-
-
-def enumerate_states(code: KnotoidCode, state_limit: int = DEFAULT_STATE_LIMIT):
-    """Yield every (SmoothingChoice, StateResolution) pair, mask order."""
-    compiled = CompiledCode(code)
-    if compiled.n > state_limit:
-        raise LimitExceeded(
-            f"{compiled.n} crossings exceed the state limit {state_limit}"
-        )
-    for mask in range(1 << compiled.n):
-        choice = SmoothingChoice(
-            tuple(
-                (lab, DISORIENTED if (mask >> k) & 1 else ORIENTED)
-                for k, lab in enumerate(compiled.labels)
-            )
-        )
-        yield choice, _resolution(compiled, mask)
-
-
-def _resolution(compiled: CompiledCode, mask: int) -> StateResolution:
-    segments, circles, free = trace_state(compiled, compiled.glue_for_mask(mask), True)
-    comps = [StateComponent(SEGMENT, tuple(Cusp(s) for s in word)) for word in segments]
-    comps.extend(StateComponent(CIRCLE, tuple(Cusp(s) for s in word)) for word in circles)
-    comps.extend(StateComponent(CIRCLE, ()) for _ in range(free))
-    return StateResolution(tuple(comps))
-
-
-def same_diagram(first: KnotoidCode, second: KnotoidCode) -> bool:
-    """Structural equality with loop components compared up to rotation.
-
-    Serialization stores an explicit rotation anchor, so ``==`` is strict;
-    this helper forgets the anchor.
-    """
-    if len(first.components) != len(second.components):
-        return False
-    for a, b in zip(first.components, second.components):
-        if a.kind != b.kind or len(a) != len(b):
-            return False
-        if a.kind == OPEN or not a.passages:
-            if a.passages != b.passages:
-                return False
-            continue
-        doubled = b.passages + b.passages
-        if not any(
-            doubled[r : r + len(a.passages)] == a.passages
-            for r in range(len(a.passages))
-        ):
-            return False
-    return True

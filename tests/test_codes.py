@@ -10,6 +10,7 @@ from knotoids.codes import (
     flat_projection,
     parse,
     reverse,
+    same_diagram,
     serialize,
     spiral,
 )
@@ -21,7 +22,6 @@ from knotoids.errors import (
     SignMismatch,
 )
 from helpers import random_code, random_multi_code
-from reference import same_diagram
 
 FIG1G = "open: OA+ OB+ UC+ UD+ UA+ OE+ UF+ OD+ UB+ UE+ OF+ OC+"
 

@@ -187,8 +187,8 @@ def test_incremental_plan_matches_the_reference():
 
 
 def test_wide_plans_match_the_reference():
-    # Codes with ends enough to pass a signed byte pack their tails after
-    # the last step, in the typecode their widest boundary needs.
+    # Codes with ends enough to pass a signed byte pack their tails in the
+    # typecode their widest boundary needs.
     typecodes = set()
     for name, code in wide_codes():
         compiled = CompiledCode(code)

@@ -6,16 +6,18 @@ import pytest
 
 from knotoids.codes import parse
 from knotoids.errors import IncompleteChoice, LimitExceeded
-from knotoids.smoothing import CIRCLE, SEGMENT, CompiledCode
-from helpers import random_code
-from reference import (
+from knotoids.smoothing import (
+    CIRCLE,
+    CompiledCode,
     DISORIENTED,
     ORIENTED,
+    SEGMENT,
     SmoothingChoice,
     ab_label,
     enumerate_states,
     resolve,
 )
+from helpers import random_code
 
 FIG1G = "open: OA+ OB+ UC+ UD+ UA+ OE+ UF+ OD+ UB+ UE+ OF+ OC+"
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arrow import arrow_polynomial
-from .codes import KnotoidCode, OVER, UNDER, classify_crossings, label_order
+from .codes import KnotoidCode, OVER
 from .errors import ShapeError
 from .laurent import AffinePoly
 from .parity_bracket import parity_bracket
-from .smoothing import DEFAULT_STATE_LIMIT
+from .smoothing import DEFAULT_STATE_LIMIT, compiled_form
 
 
 @dataclass(frozen=True)
@@ -88,32 +88,30 @@ def arc_labels(code: KnotoidCode) -> list[int]:
 
 
 def _weights(code: KnotoidCode) -> list[tuple[str, int, int, int, int]]:
-    """``(label, sign, w_plus, w_minus, w)`` of each crossing, in label order;
-    ``w`` is ``w_plus`` at a positive crossing and ``w_minus`` at a negative one."""
-    labels = arc_labels(code)
-    incoming: dict[tuple[str, str], int] = {}
-    signs: dict[str, int] = {}
-    for label, p in zip(labels, code.components[0].passages):
-        incoming[(p.label, p.role)] = label
-        signs[p.label] = p.sign
+    """``(label, sign, w_plus, w_minus, w)`` of each crossing, in the order of
+    the code's compiled form (first sight); ``w`` is ``w_plus`` at a positive
+    crossing and ``w_minus`` at a negative one."""
+    labels = arc_labels(code)  # arc i enters passage i
+    compiled = compiled_form(code)
     weights = []
-    for lab in label_order(code):
-        over_in = incoming[(lab, OVER)]
-        under_in = incoming[(lab, UNDER)]
-        a, b = (over_in, under_in) if signs[lab] > 0 else (under_in, over_in)
+    for k, (lab, sign) in enumerate(zip(compiled.labels, compiled.cross_sign)):
+        over_in = labels[compiled.cross_over[k]]
+        under_in = labels[compiled.cross_under[k]]
+        a, b = (over_in, under_in) if sign > 0 else (under_in, over_in)
         w_plus = a - (b + 1)
         w_minus = b - (a - 1)
-        weights.append((lab, signs[lab], w_plus, w_minus, w_plus if signs[lab] > 0 else w_minus))
+        weights.append((lab, sign, w_plus, w_minus, w_plus if sign > 0 else w_minus))
     return weights
 
 
 def weight_chart(code: KnotoidCode) -> WeightChart:
     """Per-crossing weights from the flat-diagram labeling, with each
-    crossing's parity class."""
+    crossing's parity class from the compiled form's classification."""
     weights = _weights(code)
-    parities = {info.label: info.parity for info in classify_crossings(code)}
+    crossings = compiled_form(code).crossings
     return WeightChart(tuple(
-        WeightEntry(lab, sign, parities[lab], *ws) for lab, sign, *ws in weights
+        WeightEntry(lab, sign, info.parity, *ws)
+        for (lab, sign, *ws), info in zip(weights, crossings)
     ))
 
 

@@ -55,12 +55,7 @@ def carter_genus(code: KnotoidCode) -> int:
 
     sigma: dict[int, int] = {tail: tail, head: head}
     for k in range(n):
-        a, b = compiled.cross_over[k], compiled.cross_under[k]
-        ia, oa, ib, ob = 2 * a, 2 * a + 1, 2 * b, 2 * b + 1
-        if compiled.cross_sign[k] > 0:
-            cycle = (ia, ib, oa, ob)
-        else:
-            cycle = (ia, ob, oa, ib)
+        cycle = compiled.rotation(k)
         for s in range(4):
             sigma[cycle[s]] = cycle[(s + 1) % 4]
 

@@ -136,25 +136,6 @@ class CrossingInfo:
     positions: tuple[tuple[int, int], tuple[int, int]]
 
 
-def occurrences(code: KnotoidCode) -> dict[str, list[tuple[int, int]]]:
-    """Map each label to its occurrence positions in traversal order."""
-    occ: dict[str, list[tuple[int, int]]] = {}
-    for ci, pi, passage in code.all_passages():
-        occ.setdefault(passage.label, []).append((ci, pi))
-    return occ
-
-
-def label_order(code: KnotoidCode) -> list[str]:
-    """Crossing labels in order of first occurrence."""
-    seen: set[str] = set()
-    order = []
-    for _, _, passage in code.all_passages():
-        if passage.label not in seen:
-            seen.add(passage.label)
-            order.append(passage.label)
-    return order
-
-
 def validate(code: KnotoidCode) -> None:
     """Raise a typed error unless every Gauss-code invariant holds."""
     if not code.components:
@@ -224,30 +205,6 @@ def serialize(code: KnotoidCode) -> str:
     return "\n".join(lines) + "\n"
 
 
-def same_diagram(first: KnotoidCode, second: KnotoidCode) -> bool:
-    """Structural equality with loop components compared up to rotation.
-
-    Serialization stores an explicit rotation anchor, so ``==`` is strict;
-    this helper forgets the anchor.
-    """
-    if len(first.components) != len(second.components):
-        return False
-    for a, b in zip(first.components, second.components):
-        if a.kind != b.kind or len(a) != len(b):
-            return False
-        if a.kind == OPEN or not a.passages:
-            if a.passages != b.passages:
-                return False
-            continue
-        doubled = b.passages + b.passages
-        if not any(
-            doubled[r : r + len(a.passages)] == a.passages
-            for r in range(len(a.passages))
-        ):
-            return False
-    return True
-
-
 def reverse(code: KnotoidCode) -> KnotoidCode:
     """Reverse the diagram orientation: tail and head swap, signs persist."""
     comps = tuple(
@@ -290,7 +247,9 @@ def classify_crossings(code: KnotoidCode) -> list[CrossingInfo]:
     forward from the first stored occurrence, which is parity-safe because
     self passages pair up).
     """
-    occ = occurrences(code)
+    occ: dict[str, list[tuple[int, int]]] = {}  # each label's positions, by first sight
+    for ci, pi, passage in code.all_passages():
+        occ.setdefault(passage.label, []).append((ci, pi))
     # Per component, before[i]: the self-crossing passages before position i.
     before = []
     for ci, comp in enumerate(code.components):

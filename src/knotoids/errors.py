@@ -41,10 +41,6 @@ class BadArgument(KnotoidError):
     """A command-line argument is refused: unknown, unparsable or out of range."""
 
 
-class IncompleteChoice(KnotoidError):
-    """A smoothing assignment does not cover every crossing."""
-
-
 class InapplicableMove(KnotoidError):
     """A rewriting move was applied at a site that does not match its pattern."""
 

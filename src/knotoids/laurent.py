@@ -2,6 +2,8 @@
 
 Coefficients are Python integers, so state sums never overflow.  Zero
 coefficients are never stored: the empty term map is the zero polynomial.
+Polynomials are immutable: ``terms`` is a read-only mapping and no
+attribute can be assigned, so a value's hash never changes.
 """
 
 from __future__ import annotations
@@ -9,9 +11,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import comb
+from types import MappingProxyType
 
 
-class Laurent:
+class _Frozen:
+    """Refuses attribute assignment; ``__init__`` sets ``terms`` once."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # A mappingproxy cannot be pickled; the terms are rebuilt from a dict.
+        return type(self), (dict(self.terms),)
+
+
+class Laurent(_Frozen):
     """A one-variable Laurent polynomial as a map exponent -> coefficient."""
 
     VAR = "x"
@@ -20,7 +38,7 @@ class Laurent:
 
     def __init__(self, terms: dict[int, int] | None = None):
         clean = {e: c for e, c in (terms or {}).items() if c}
-        self.terms = clean
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     @classmethod
     def zero(cls):
@@ -235,13 +253,14 @@ class ArrowMonomial:
         return (self.k_degree(), self.lambda_degree(), self.k_factors, self.lambda_factors)
 
 
-class ArrowPoly:
+class ArrowPoly(_Frozen):
     """A polynomial over the A-ring with ArrowMonomial variables."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[ArrowMonomial, LaurentA] | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if not c.is_zero()}
+        clean = {m: c for m, c in (terms or {}).items() if not c.is_zero()}
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     @classmethod
     def zero(cls) -> "ArrowPoly":

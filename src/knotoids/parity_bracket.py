@@ -82,6 +82,10 @@ class ParityBracketValue:
     def __hash__(self):
         return hash((self.plain, tuple(sorted(self.graphical.items()))))
 
+    def __reduce__(self):
+        # Pickles and copies rebuild the read-only mapping from a dict.
+        return type(self), (self.plain, dict(self.graphical))
+
     def render(self) -> str:
         parts = [self.plain.render()] if self.plain or not self.graphical else []
         for key in sorted(self.graphical):
@@ -108,6 +112,8 @@ class FlatParityValue:
     def __hash__(self):
         return hash((self.plain, tuple(sorted(self.graphical.items()))))
 
+    __reduce__ = ParityBracketValue.__reduce__
+
     @classmethod
     def of(cls, value: ParityBracketValue) -> FlatParityValue:
         """A parity bracket at A = -1; graphical terms that vanish there drop."""
@@ -122,17 +128,12 @@ def _ports(compiled: CompiledCode, nodes: list[int]) -> dict[int, int]:
     """Map each arc end at the crossings ``nodes`` to its port ``4 * i + slot``.
 
     ``i`` is the crossing's place in ``nodes`` and ``slot`` its
-    counterclockwise rotation slot; ends across the crossing get opposite
-    slots.
+    counterclockwise rotation slot (``CompiledCode.rotation``); ends across
+    the crossing get opposite slots.
     """
     ports = {}
     for i, k in enumerate(nodes):
-        a, b = compiled.cross_over[k], compiled.cross_under[k]
-        if compiled.cross_sign[k] > 0:
-            rotation = (2 * a, 2 * b, 2 * a + 1, 2 * b + 1)
-        else:
-            rotation = (2 * a, 2 * b + 1, 2 * a + 1, 2 * b)
-        for slot, end in enumerate(rotation):
+        for slot, end in enumerate(compiled.rotation(k)):
             ports[end] = 4 * i + slot
     return ports
 

@@ -37,25 +37,18 @@ elements of the infinite dihedral group: the reduced product of ``w1`` and
 ``w2`` is ``w1 - w2`` when ``w1`` is odd and ``w1 + w2`` otherwise, and a
 word read backwards (each side flips) is negated when it is odd.
 
-The tests' independent references visit the 2^n states one by one:
-``trace_state`` is the one per-state walk, and ``CompiledCode.scan``,
-``resolve`` and ``enumerate_states`` are views of it, with cusp words
-reduced by ``_linear_reduce`` and ``_cyclic_reduce``.
+The tests' independent reference visits the 2^n states one by one:
+``trace_state`` is the one per-state walk, and ``CompiledCode.scan`` is
+its view, one state per mask with cusp words reduced by
+``_linear_reduce`` and ``_cyclic_reduce``.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 
-from .codes import (
-    EVEN, CrossingInfo, KnotoidCode, OPEN, OVER, classify_crossings, label_order, occurrences,
-)
-from .errors import IncompleteChoice, LimitExceeded
-
-ORIENTED = "oriented"
-DISORIENTED = "disoriented"
+from .codes import EVEN, CrossingInfo, KnotoidCode, OPEN, OVER, classify_crossings
 
 DEFAULT_STATE_LIMIT = 24
 
@@ -83,34 +76,32 @@ class CompiledCode:
     classification, and the contraction plans built so far."""
 
     def __init__(self, code: KnotoidCode):
-        self.labels = label_order(code)
-        self.index_of = {lab: k for k, lab in enumerate(self.labels)}
-        self.n = len(self.labels)
+        # One walk over the passages numbers the crossings by first sight:
+        # crossing k has label ``labels[k]``, sign ``cross_sign[k]`` and
+        # over and under passages ``cross_over[k]`` and ``cross_under[k]``;
+        # passage p (in traversal order) belongs to ``pass_crossing[p]``.
         self.components = code.components  # classified on first use
         self.plans: dict[tuple[int, ...], tuple] = {}
-
-        flat = []  # (crossing index, is_over, sign)
-        global_index: dict[tuple[int, int], int] = {}
-        for ci, pi, passage in code.all_passages():
-            global_index[(ci, pi)] = len(flat)
-            flat.append((self.index_of[passage.label], passage.role == OVER, passage.sign))
-        self.P = len(flat)
-        self.pass_crossing = [f[0] for f in flat]
-        self.pass_is_over = [f[1] for f in flat]
-
-        occ = occurrences(code)
-        self.cross_sign = [0] * self.n
-        self.cross_over = [0] * self.n
-        self.cross_under = [0] * self.n
-        for lab, places in occ.items():
-            k = self.index_of[lab]
-            for (ci, pi) in places:
-                p = global_index[(ci, pi)]
-                if self.pass_is_over[p]:
-                    self.cross_over[k] = p
-                else:
-                    self.cross_under[k] = p
-                self.cross_sign[k] = flat[p][2]
+        labels, signs, over_of, under_of, pass_crossing, pass_is_over = [], [], [], [], [], []
+        seen: dict[str, int] = {}
+        for p, (_, _, passage) in enumerate(code.all_passages()):
+            k = seen.get(passage.label)
+            if k is None:
+                k = seen[passage.label] = len(labels)
+                labels.append(passage.label)
+                signs.append(passage.sign)
+                over_of.append(p)
+                under_of.append(p)
+            over = passage.role == OVER
+            (over_of if over else under_of)[k] = p
+            pass_crossing.append(k)
+            pass_is_over.append(over)
+        self.labels, self.cross_sign, self.cross_over, self.cross_under = (
+            labels, signs, over_of, under_of
+        )
+        self.pass_crossing, self.pass_is_over = pass_crossing, pass_is_over
+        self.n = len(labels)
+        self.P = len(pass_crossing)
 
         # Arc succession.  succ is read at odd (out) ends, pred at even (in)
         # ends; negative values are stubs.
@@ -120,8 +111,10 @@ class CompiledCode:
         self.open_comps: list[int] = []
         self.first_target: dict[int, int] = {}
         self.head_source: dict[int, int] = {}
+        first = 0  # a component's passages are numbered consecutively
         for ci, comp in enumerate(code.components):
-            idxs = [global_index[(ci, pi)] for pi in range(len(comp.passages))]
+            idxs = list(range(first, first + len(comp)))
+            first += len(comp)
             if comp.kind == OPEN:
                 self.open_comps.append(ci)
                 tail, head = -(2 * ci + 1), -(2 * ci + 2)
@@ -158,7 +151,8 @@ class CompiledCode:
 
     @cached_property
     def even(self) -> list[int]:
-        return [self.index_of[i.label] for i in self.crossings if i.parity == EVEN]
+        # ``classify_crossings`` lists crossings by first sight, as here.
+        return [k for k, info in enumerate(self.crossings) if info.parity == EVEN]
 
     def glue_for_mask(self, mask: int) -> list[int]:
         """Each end's partner when set bit ``k`` smooths crossing ``k`` disoriented."""
@@ -196,9 +190,13 @@ class CompiledCode:
         """The end (or stub) at the far side of the arc leaving end ``e``."""
         return self.succ[e] if e & 1 else self.pred[e]
 
-    def crossing_of(self, e: int) -> int:
-        """Crossing index of a passage end, -1 for a stub."""
-        return self.pass_crossing[e >> 1] if e >= 0 else -1
+    def rotation(self, k: int) -> tuple[int, int, int, int]:
+        """The four ends of crossing ``k`` in counterclockwise order, from the
+        over strand's in end; ends across the crossing sit two apart."""
+        ia, ib = 2 * self.cross_over[k], 2 * self.cross_under[k]
+        if self.cross_sign[k] > 0:
+            return ia, ib, ia + 1, ib + 1
+        return ia, ib + 1, ia + 1, ib
 
     def contraction_order(self, smooth=None) -> list[int]:
         """The crossings of ``smooth`` (default: all) in greedy order.
@@ -467,86 +465,6 @@ class CompiledCode:
     def sigma_table(self) -> list[tuple[int, int]]:
         """Per crossing (oriented, disoriented) contributions to #A - #B."""
         return [(1, -1) if s > 0 else (-1, 1) for s in self.cross_sign]
-
-
-@dataclass(frozen=True)
-class Cusp:
-    """One cusp on a state component: side L or R in the traversal frame."""
-
-    side: str
-
-
-@dataclass(frozen=True)
-class StateComponent:
-    kind: str  # segment | circle
-    cusps: tuple[Cusp, ...]
-
-
-@dataclass(frozen=True)
-class StateResolution:
-    components: tuple[StateComponent, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.components)
-
-
-@dataclass(frozen=True)
-class SmoothingChoice:
-    """A total assignment of oriented/disoriented to every crossing label."""
-
-    choices: tuple[tuple[str, str], ...]  # (label, ORIENTED|DISORIENTED)
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.choices)
-
-
-def ab_label(sign: int, choice: str) -> str:
-    """The A/B smoothing label implied by a crossing sign and a choice."""
-    if sign > 0:
-        return "A" if choice == ORIENTED else "B"
-    return "B" if choice == ORIENTED else "A"
-
-
-def resolve(code: KnotoidCode, choice: SmoothingChoice) -> StateResolution:
-    """Apply a smoothing assignment and traverse the resulting components."""
-    compiled = CompiledCode(code)
-    chosen = choice.as_dict()
-    missing = [lab for lab in compiled.labels if lab not in chosen]
-    if missing:
-        raise IncompleteChoice(f"no smoothing chosen for {missing[0]!r}")
-    mask = 0
-    for k, lab in enumerate(compiled.labels):
-        if chosen[lab] == DISORIENTED:
-            mask |= 1 << k
-        elif chosen[lab] != ORIENTED:
-            raise IncompleteChoice(f"bad smoothing {chosen[lab]!r} for {lab!r}")
-    return _resolution(compiled, mask)
-
-
-def enumerate_states(code: KnotoidCode, state_limit: int = DEFAULT_STATE_LIMIT):
-    """Yield every (SmoothingChoice, StateResolution) pair, mask order."""
-    compiled = CompiledCode(code)
-    if compiled.n > state_limit:
-        raise LimitExceeded(
-            f"{compiled.n} crossings exceed the state limit {state_limit}"
-        )
-    for mask in range(1 << compiled.n):
-        choice = SmoothingChoice(
-            tuple(
-                (lab, DISORIENTED if (mask >> k) & 1 else ORIENTED)
-                for k, lab in enumerate(compiled.labels)
-            )
-        )
-        yield choice, _resolution(compiled, mask)
-
-
-def _resolution(compiled: CompiledCode, mask: int) -> StateResolution:
-    segments, circles, free = trace_state(compiled, compiled.glue_for_mask(mask), True)
-    comps = [StateComponent(SEGMENT, tuple(Cusp(s) for s in word)) for word in segments]
-    comps.extend(StateComponent(CIRCLE, tuple(Cusp(s) for s in word)) for word in circles)
-    comps.extend(StateComponent(CIRCLE, ()) for _ in range(free))
-    return StateResolution(tuple(comps))
 
 
 def trace_state(compiled: CompiledCode, glue: list[int], want_words: bool):

@@ -1,11 +1,21 @@
-"""The contraction planner that rebuilt the whole boundary at every step.
+"""Independent references that the tests hold the engines to.
 
-``reference_plan`` builds its row of ends, a slot per end and the stub
-flags from scratch at each step.  ``CompiledCode._plan`` carries them from
-step to step and must build equal plans.
+``reference_plan`` is the contraction planner that rebuilt the whole
+boundary at every step: its row of ends, a slot per end and the stub
+flags.  ``CompiledCode._plan`` carries them from step to step and must
+build equal plans.
+
+``parity_reference`` is the parity bracket summed one graph state at a
+time over the 2^e states of ``parity_states``, as its definition reads;
+``parity_bracket`` reads one state per final pairing of the frontier.
 """
 
 from array import array
+
+from knotoids.laurent import LaurentA, loop_value
+from knotoids.parity_bracket import (
+    ParityBracketValue, _close_stub_paths, canonical_graph, parity_states, reduce_graph,
+)
 
 
 def reference_plan(compiled, smooth=None):
@@ -22,7 +32,7 @@ def reference_plan(compiled, smooth=None):
         fresh = {}  # arcs of k that do not yet lead into the smoothed region
         for e in ends:
             far = compiled.arc_end(e)
-            if far < 0 or not done[compiled.crossing_of(far)]:
+            if far < 0 or not done[compiled.pass_crossing[far >> 1]]:
                 fresh[e] = far
                 fresh[far] = e
         done[k] = True
@@ -45,3 +55,31 @@ def reference_plan(compiled, smooth=None):
     typecode = "b" if max([2 * compiled.n] + [len(step[1]) for step in steps]) < 128 else "q"
     steps = [(array(typecode, tail).tobytes(), *rest) for tail, *rest in steps]
     return steps, boundary, typecode
+
+
+def segments(state) -> int:
+    """The stub-to-stub edges of a state: node-free open segments."""
+    return sum(1 for a, b in state.partner.items() if a < 0 and b < 0 and a < b)
+
+
+def parity_reference(code, closed: bool = False) -> ParityBracketValue:
+    """Sum A^sigma d^(components - 1) over every state, one state at a time."""
+    plain = LaurentA.zero()
+    graphical: dict[str, LaurentA] = {}
+    d = loop_value()
+    for state in parity_states(code):
+        state = reduce_graph(state)
+        if closed:
+            _close_stub_paths(state)
+            state = reduce_graph(state)
+        encodings = canonical_graph(state)
+        weight = LaurentA.one()
+        for _ in range(state.circles + segments(state) + len(encodings) - 1):
+            weight = weight * d
+        weight = weight.shift(state.sigma)
+        if encodings:
+            key = " | ".join(encodings)
+            graphical[key] = graphical.get(key, LaurentA.zero()) + weight
+        else:
+            plain = plain + weight
+    return ParityBracketValue(plain, {k: v for k, v in graphical.items() if v})

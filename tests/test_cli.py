@@ -194,9 +194,9 @@ def test_invariants_computes_each_state_sum_once(monkeypatch, capsys):
     assert main(["invariants", "--catalog", "fig1g", "--format", "json"]) == 0
     # The arrow and the parity bracket; the bracket is read off the arrow and
     # the flat parity bracket off the parity bracket at A = -1.  Both state
-    # sums and the genus read one compiled diagram, and its one
-    # classification serves the parity bracket, the odd writhe and
-    # evenly-intersticed; the affine index reads none.
+    # sums, the genus and the affine index read one compiled diagram, and
+    # its one classification serves the parity bracket, the odd writhe and
+    # evenly-intersticed; the affine index reads no classification.
     assert sorted(calls) == [
         "CompiledCode", "affine_index", "classify_crossings",
         "contract(True)", "frontier", "frontier",

@@ -10,7 +10,6 @@ from knotoids.codes import (
     flat_projection,
     parse,
     reverse,
-    same_diagram,
     serialize,
     spiral,
 )
@@ -211,11 +210,3 @@ def test_trivial_accepted_everywhere():
     assert evenly_intersticed(code)
     assert reverse(code) == code
 
-
-def test_same_diagram_loop_rotation():
-    a = parse("open: O1+\nloop: U2+ O3+ U1+ O2+ U3+")
-    b = parse("open: O1+\nloop: U1+ O2+ U3+ U2+ O3+")
-    assert a != b
-    assert same_diagram(a, b)
-    c = parse("open: O1+\nloop: U1+ O2+ U3+ O3+ U2+")
-    assert not same_diagram(a, c)

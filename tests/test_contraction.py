@@ -114,7 +114,8 @@ def uncut_order(compiled: CompiledCode, smooth=None) -> list[int]:
     for k in crossings:
         a, b = compiled.cross_over[k], compiled.cross_under[k]
         for e in (2 * a, 2 * a + 1, 2 * b, 2 * b + 1):
-            far = compiled.crossing_of(compiled.arc_end(e))
+            far = compiled.arc_end(e)
+            far = compiled.pass_crossing[far >> 1] if far >= 0 else -1
             if far != k:
                 start_delta[k] += 1
                 if far in crossings:
@@ -154,7 +155,7 @@ def test_cut_passes_keep_the_uncut_order():
     for code in codes:
         compiled = CompiledCode(code)
         assert compiled.contraction_order() == uncut_order(compiled), code
-        even = [compiled.index_of[i.label] for i in classify_crossings(code) if i.parity == EVEN]
+        even = [k for k, i in enumerate(classify_crossings(code)) if i.parity == EVEN]
         assert compiled.contraction_order(even) == uncut_order(compiled, even), code
         subsets += 0 < len(even) < compiled.n
     assert subsets >= 60
@@ -179,7 +180,7 @@ def test_incremental_plan_matches_the_reference():
     subsets = 0
     for code in plan_families():
         compiled = CompiledCode(code)
-        even = [compiled.index_of[i.label] for i in classify_crossings(code) if i.parity == EVEN]
+        even = [k for k, i in enumerate(classify_crossings(code)) if i.parity == EVEN]
         for smooth in (None, even):
             assert compiled._plan(smooth) == reference_plan(compiled, smooth), (code, smooth)
         subsets += 0 < len(even) < compiled.n

@@ -1,21 +1,86 @@
-"""Every one-leg code of at most three crossings, against the independent
-references: the skein oracle, the bracket as the arrow's coefficient sum,
-and the closed parity bracket as that of the virtual closure."""
+"""Every small code against the independent references: the skein oracle,
+the bracket as the arrow's coefficient sum, the open parity bracket as the
+per-state sum over ``parity_states``, the closed parity bracket as that of
+the virtual closure, and the compiled form's crossings against
+``classify_crossings``.
+
+The family: every one-leg code of at most three crossings, each also as a
+single loop, and every cut of the one-leg codes of at most two crossings
+into two components, each open or a loop; a cut at either end leaves one
+component empty."""
+
+import itertools
 
 from knotoids.arrow import arrow_polynomial
 from knotoids.bracket import bracket, bracket_oracle
 from knotoids.closures import virtual_closure
+from knotoids.codes import (
+    LOOP, OPEN, OVER, UNDER, ComponentCode, KnotoidCode, classify_crossings,
+)
 from knotoids.parity_bracket import parity_bracket
+from knotoids.smoothing import compiled_form
 from helpers import all_codes
+from reference import parity_reference
+
+KINDS = list(itertools.product((OPEN, LOOP), repeat=2))
+
+
+def check(code):
+    value = bracket(code)
+    assert value == bracket_oracle(code), code
+    assert arrow_polynomial(code).coefficient_sum() == value, code
+    assert parity_bracket(code) == parity_reference(code), code
+    check_compiled_form(code)
+
+
+def check_compiled_form(code):
+    """Labels, signs and over/under passages against the classification's
+    positions, with passages numbered in traversal order."""
+    compiled = compiled_form(code)
+    first = list(itertools.accumulate((len(c) for c in code.components), initial=0))
+    infos = classify_crossings(code)
+    assert compiled.labels == [info.label for info in infos], code
+    assert compiled.cross_sign == [info.sign for info in infos], code
+    for k, info in enumerate(infos):
+        roles = {
+            code.components[ci].passages[pi].role: first[ci] + pi for ci, pi in info.positions
+        }
+        assert compiled.cross_over[k] == roles[OVER], code
+        assert compiled.cross_under[k] == roles[UNDER], code
+        for p in roles.values():
+            assert compiled.pass_crossing[p] == k, code
+            assert compiled.pass_is_over[p] == (p == roles[OVER]), code
+    assert compiled.P == first[-1], code
 
 
 def test_every_code_of_at_most_three_crossings():
     seen = 0
     for n in range(4):
         for code in all_codes(n):
-            value = bracket(code)
-            assert value == bracket_oracle(code), code
-            assert arrow_polynomial(code).coefficient_sum() == value, code
+            check(code)
             assert parity_bracket(code, closed=True) == parity_bracket(virtual_closure(code)), code
             seen += 1
     assert seen == 1 + 4 + 48 + 960
+
+
+def test_every_loop_of_at_most_three_crossings():
+    seen = 0
+    for n in range(4):
+        for code in all_codes(n):
+            check(virtual_closure(code))
+            seen += 1
+    assert seen == 1 + 4 + 48 + 960
+
+
+def test_every_two_component_code_of_at_most_two_crossings():
+    seen = empty = 0
+    for n in range(3):
+        for code in all_codes(n):
+            passages = code.components[0].passages
+            for cut, kinds in itertools.product(range(2 * n + 1), KINDS):
+                parts = (passages[:cut], passages[cut:])
+                check(KnotoidCode(tuple(ComponentCode(k, p) for k, p in zip(kinds, parts))))
+                seen += 1
+                empty += not all(parts)
+    assert seen == 4 * (1 + 4 * 3 + 48 * 5)
+    assert empty == 4 * (1 + 2 * (4 + 48))

@@ -1,9 +1,9 @@
 """The contracted parity bracket against a per-state accumulation.
 
 ``parity_bracket`` reads one graph state per distinct final pairing of the
-frontier engine; the reference here builds, reduces and canonicalizes
-every one of the 2^e states from ``parity_states``, as the bracket's
-definition reads.  ``canonical_graph``'s cut-short int traces are checked
+frontier engine; ``reference.parity_reference`` builds, reduces and
+canonicalizes every one of the 2^e states from ``parity_states``, as the
+bracket's definition reads.  ``canonical_graph``'s cut-short int traces are checked
 against the plain minimum of full string traces from ``trace_component``,
 its pruned starts against the first-strand signatures of those traces,
 and ``_find_bigon`` against the pairwise bigon criterion of
@@ -28,11 +28,9 @@ from knotoids.codes import (
     spiral,
 )
 from knotoids.errors import LimitExceeded
-from knotoids.laurent import LaurentA, loop_value
 from knotoids.parity_bracket import (
     FlatParityValue,
     GraphState,
-    ParityBracketValue,
     _close_stub_paths,
     _find_bigon,
     _least_signatures,
@@ -45,34 +43,7 @@ from knotoids.parity_bracket import (
 )
 from knotoids.smoothing import CompiledCode
 from helpers import random_code, random_multi_code
-
-
-def segments(state) -> int:
-    """The stub-to-stub edges of a state: node-free open segments."""
-    return sum(1 for a, b in state.partner.items() if a < 0 and b < 0 and a < b)
-
-
-def reference(code: KnotoidCode, closed: bool = False) -> ParityBracketValue:
-    """Sum A^sigma d^(components - 1) over every state, one state at a time."""
-    plain = LaurentA.zero()
-    graphical: dict[str, LaurentA] = {}
-    d = loop_value()
-    for state in parity_states(code):
-        state = reduce_graph(state)
-        if closed:
-            _close_stub_paths(state)
-            state = reduce_graph(state)
-        encodings = canonical_graph(state)
-        weight = LaurentA.one()
-        for _ in range(state.circles + segments(state) + len(encodings) - 1):
-            weight = weight * d
-        weight = weight.shift(state.sigma)
-        if encodings:
-            key = " | ".join(encodings)
-            graphical[key] = graphical.get(key, LaurentA.zero()) + weight
-        else:
-            plain = plain + weight
-    return ParityBracketValue(plain, {k: v for k, v in graphical.items() if v})
+from reference import parity_reference, segments
 
 
 def flat_reference(code: KnotoidCode) -> FlatParityValue:
@@ -87,17 +58,17 @@ def flat_reference(code: KnotoidCode) -> FlatParityValue:
         )
         for comp in flat_projection(code).components
     )
-    value = reference(KnotoidCode(comps))
+    value = parity_reference(KnotoidCode(comps))
     graphical = {k: v.evaluate_int(-1) for k, v in value.graphical.items()}
     return FlatParityValue(value.plain.evaluate_int(-1), {k: v for k, v in graphical.items() if v})
 
 
 def assert_matches(code):
-    assert parity_bracket(code) == reference(code), code
-    assert parity_bracket(code, closed=True) == reference(code, closed=True), code
+    assert parity_bracket(code) == parity_reference(code), code
+    assert parity_bracket(code, closed=True) == parity_reference(code, closed=True), code
     if len(code.open_components) == 1:
         closure = virtual_closure(code)
-        assert parity_bracket(closure) == reference(closure), code
+        assert parity_bracket(closure) == parity_reference(closure), code
     flat = flat_parity_bracket(flat_projection(code))
     assert flat == flat_reference(code), code
     # The flat parity bracket is the parity bracket at A = -1.

@@ -1,94 +1,75 @@
-"""State resolution engine: reconnection, traversal, cusp bookkeeping."""
+"""The per-state walk: reconnection, traversal, cusp bookkeeping.
+
+``trace_state`` walks one state; ``CompiledCode.scan`` is its view, one
+state per mask.
+"""
 
 import random
 
-import pytest
-
 from knotoids.codes import parse
-from knotoids.errors import IncompleteChoice, LimitExceeded
-from knotoids.smoothing import (
-    CIRCLE,
-    CompiledCode,
-    DISORIENTED,
-    ORIENTED,
-    SEGMENT,
-    SmoothingChoice,
-    ab_label,
-    enumerate_states,
-    resolve,
-)
+from knotoids.smoothing import CompiledCode, trace_state
 from helpers import random_code
 
 FIG1G = "open: OA+ OB+ UC+ UD+ UA+ OE+ UF+ OD+ UB+ UE+ OF+ OC+"
 
 
+def states(code, want_words=True):
+    """``trace_state`` of every mask, in mask order."""
+    compiled = CompiledCode(code)
+    for mask in range(1 << compiled.n):
+        yield mask, trace_state(compiled, compiled.glue_for_mask(mask), want_words)
+
+
 def test_ab_label_table():
-    assert ab_label(1, ORIENTED) == "A"
-    assert ab_label(-1, ORIENTED) == "B"
-    assert ab_label(1, DISORIENTED) == "B"
-    assert ab_label(-1, DISORIENTED) == "A"
+    # A positive crossing smooths oriented as A and disoriented as B; a
+    # negative one the other way round.
+    assert CompiledCode(parse("open: O1+ U1+")).sigma_table() == [(1, -1)]
+    assert CompiledCode(parse("open: O1- U1-")).sigma_table() == [(-1, 1)]
 
 
 def test_resolve_trivial():
-    state = resolve(parse("open:"), SmoothingChoice(()))
-    assert state.count == 1
-    assert state.components[0].kind == SEGMENT
-    assert state.components[0].cusps == ()
+    [(_, (segments, circles, free))] = states(parse("open:"))
+    assert (segments, circles, free) == ([""], [], 0)
 
 
 def test_resolve_kink_two_ways():
-    kink = parse("open: O1+ U1+")
-    oriented = resolve(kink, SmoothingChoice((("1", ORIENTED),)))
-    disoriented = resolve(kink, SmoothingChoice((("1", DISORIENTED),)))
-    assert sorted(c.kind for c in oriented.components) == [CIRCLE, SEGMENT]
-    assert [c.kind for c in disoriented.components] == [SEGMENT]
+    [(_, oriented), (_, disoriented)] = states(parse("open: O1+ U1+"))
+    segments, circles, free = oriented
+    assert (len(segments), len(circles), free) == (1, 1, 0)
+    segments, circles, free = disoriented
+    assert (len(segments), circles, free) == (1, [], 0)
     # The one disoriented site makes exactly two cusps, same side (they cancel).
-    cusps = disoriented.components[0].cusps
+    [cusps] = segments
     assert len(cusps) == 2
-    assert cusps[0].side == cusps[1].side
-
-
-def test_resolve_requires_total_choice():
-    with pytest.raises(IncompleteChoice):
-        resolve(parse("open: O1+ U1+"), SmoothingChoice(()))
+    assert cusps[0] == cusps[1]
 
 
 def test_enumerate_counts():
-    assert len(list(enumerate_states(parse("open:")))) == 1
-    assert len(list(enumerate_states(parse("open: O1+ U1+")))) == 2
-    assert len(list(enumerate_states(parse(FIG1G)))) == 64
-
-
-def test_enumerate_respects_limit():
-    with pytest.raises(LimitExceeded):
-        list(enumerate_states(parse(FIG1G), state_limit=5))
+    assert len(list(CompiledCode(parse("open:")).scan(False))) == 1
+    assert len(list(CompiledCode(parse("open: O1+ U1+")).scan(False))) == 2
+    assert len(list(CompiledCode(parse(FIG1G)).scan(True))) == 64
 
 
 def test_fig1g_seifert_state_structure():
     # The all-oriented state of an oriented diagram has no cusps and one
     # long segment.
-    code = parse(FIG1G)
-    choice = SmoothingChoice(tuple((lab, ORIENTED) for lab in "ABCDEF"))
-    state = resolve(code, choice)
-    segments = [c for c in state.components if c.kind == SEGMENT]
+    compiled = CompiledCode(parse(FIG1G))
+    segments, circles, _ = trace_state(compiled, compiled.glue_for_mask(0), True)
     assert len(segments) == 1
-    assert all(c.cusps == () for c in state.components)
+    assert all(word == "" for word in segments + circles)
 
 
 def test_single_leg_states_have_one_segment():
     rng = random.Random(21)
     for _ in range(40):
         code = random_code(rng, rng.randint(1, 5))
-        for _choice, state in enumerate_states(code):
-            assert state.count >= 1
-            assert sum(1 for c in state.components if c.kind == SEGMENT) == 1
+        for _mask, (segments, circles, free) in states(code, False):
+            assert len(segments) == 1
 
 
 def test_toggle_changes_component_count_by_one_closed_classical():
     # A Jordan-curve fact about closed planar curves: open endpoints or
     # virtual codes can reconnect two state components into two again.
-    from knotoids.smoothing import trace_state
-
     from knotoids.moves import MoveSpec, R1_INSERT, apply_move
 
     trefoil = parse("loop: O1+ U2+ O3+ U1+ O2+ U3+")
@@ -113,8 +94,6 @@ def test_toggle_changes_component_count_by_one_closed_classical():
 
 def test_toggle_changes_component_count_by_at_most_one():
     # On arbitrary codes a toggle moves the count by -1, 0 or +1.
-    from knotoids.smoothing import trace_state
-
     rng = random.Random(24)
     for _ in range(15):
         n = rng.randint(1, 6)
@@ -133,13 +112,10 @@ def test_cusp_pairing():
     rng = random.Random(23)
     for _ in range(25):
         code = random_code(rng, rng.randint(1, 5))
-        for choice, state in enumerate_states(code):
-            disoriented = sum(1 for _, c in choice.choices if c == DISORIENTED)
-            total_cusps = sum(len(c.cusps) for c in state.components)
-            assert total_cusps == 2 * disoriented
+        for mask, (segments, circles, _) in states(code):
+            assert sum(map(len, segments + circles)) == 2 * bin(mask).count("1")
 
 
 def test_empty_loop_contributes_circle():
-    code = parse("open: O1+ U1+\nloop:")
-    for _choice, state in enumerate_states(code):
-        assert sum(1 for c in state.components if c.kind == CIRCLE) >= 1
+    for _mask, (_, circles, free) in states(parse("open: O1+ U1+\nloop:")):
+        assert len(circles) + free >= 1

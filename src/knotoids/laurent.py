@@ -22,7 +22,8 @@ class _Frozen:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    __delattr__ = __setattr__
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         # A mappingproxy cannot be pickled; the terms are rebuilt from a dict.

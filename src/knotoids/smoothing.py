@@ -52,8 +52,7 @@ from .codes import EVEN, CrossingInfo, KnotoidCode, OPEN, OVER, classify_crossin
 
 DEFAULT_STATE_LIMIT = 24
 
-SEGMENT = "segment"
-CIRCLE = "circle"
+CIRCLE = "circle"  # the other component kind is "segment"
 
 
 def compiled_form(code: KnotoidCode) -> CompiledCode:

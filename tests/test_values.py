@@ -61,4 +61,6 @@ def test_polynomial_terms_cannot_be_written():
             del poly.terms[key]
         with pytest.raises(AttributeError):
             poly.terms = {}
+        with pytest.raises(AttributeError):
+            del poly.terms
         assert hash(poly) == before

@@ -39,8 +39,9 @@ def arrow_polynomial(
     by_monomial: dict[tuple[tuple, tuple], dict[tuple[int, int], int]] = {}
     for (s, comps, ks, ls), count in compiled.contract(True).items():
         by_monomial.setdefault((ks, ls), {})[(s, comps)] = count
+    # Most coefficients cancel at walk sizes; only the others get a monomial.
     return ArrowPoly(
-        {ArrowMonomial.build(ks, ls): state_sum(c) for (ks, ls), c in by_monomial.items()}
+        {ArrowMonomial.build(*m): c for m, cs in by_monomial.items() if (c := state_sum(cs))}
     )
 
 

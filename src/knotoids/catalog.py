@@ -11,9 +11,11 @@ discrepancy).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
 from functools import cached_property
 from importlib import resources
+from types import MappingProxyType
 
 from .codes import EVEN, LINK, KnotoidCode, _evenly_intersticed, parse
 from .affine import affine_index
@@ -31,15 +33,28 @@ _DATA = resources.files(__package__) / "data"
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One bundled entry; ``expected`` is a read-only mapping, so entries hash."""
+
     id: str
     code: KnotoidCode
     source: str
     declared_classical: bool
     declared_knot_type: bool
     declared_height: tuple[int, int] | None
-    expected: dict[str, str]
+    expected: Mapping[str, str]
     quarantined: bool
     note: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "expected", MappingProxyType(dict(self.expected)))
+
+    def __hash__(self):
+        return hash((self.id, self.code, tuple(sorted(self.expected.items()))))
+
+    def __reduce__(self):
+        # Pickles and copies rebuild the read-only mapping from a dict.
+        values = [getattr(self, f.name) for f in fields(self)]
+        return type(self), tuple(dict(v) if isinstance(v, Mapping) else v for v in values)
 
 
 @dataclass(frozen=True)

@@ -42,30 +42,19 @@ def carter_genus(code: KnotoidCode) -> int:
     P = compiled.P
     tail, head = -1, -2
 
-    alpha: dict[int, int] = {}
-    for p in range(P):
-        i, o = 2 * p, 2 * p + 1
-        alpha[i] = compiled.pred[i]
-        alpha[o] = compiled.succ[o]
-    if P:
-        alpha[tail] = compiled.first_target[0] if compiled.first_target[0] >= 0 else head
-        alpha[head] = compiled.head_source[0] if compiled.head_source[0] >= 0 else tail
-    else:
-        alpha[tail], alpha[head] = head, tail
+    # Each end to the far end of its arc; without passages the stubs face.
+    alpha = {e: compiled.arc_end(e) for e in range(2 * P)}
+    alpha[tail], alpha[head] = compiled.first_target[0], compiled.head_source[0]
 
-    sigma: dict[int, int] = {tail: tail, head: head}
+    sigma = {tail: tail, head: head}
     for k in range(n):
-        cycle = compiled.rotation(k)
-        for s in range(4):
-            sigma[cycle[s]] = cycle[(s + 1) % 4]
+        a, b, c, d = compiled.rotation(k)
+        sigma.update({a: b, b: c, c: d, d: a})
 
     seen: set[int] = set()
     delta = 0
-    for h in alpha:
-        if h in seen:
-            continue
-        delta += 1
-        x = h
+    for x in alpha:  # one boundary cycle per end not yet walked
+        delta += x not in seen
         while x not in seen:
             seen.add(x)
             x = sigma[alpha[x]]

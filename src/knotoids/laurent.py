@@ -8,6 +8,7 @@ attribute can be assigned, so a value's hash never changes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from math import comb
@@ -216,12 +217,8 @@ class ArrowMonomial:
 
     @staticmethod
     def build(k_indices=(), lambda_indices=()) -> "ArrowMonomial":
-        counts: dict[int, int] = {}
-        for i in k_indices:
-            counts[i] = counts.get(i, 0) + 1
-        return ArrowMonomial(
-            tuple(sorted(counts.items())), tuple(sorted(lambda_indices))
-        )
+        counts = Counter(k_indices)
+        return ArrowMonomial(tuple(sorted(counts.items())), tuple(sorted(lambda_indices)))
 
     def is_empty(self) -> bool:
         return not self.k_factors and not self.lambda_factors

@@ -14,22 +14,24 @@ terminals of open component ``c`` are the negative sentinels ``-(2c+1)``
 ``CompiledCode.frontier`` is the one state-sum engine: it smooths a set of
 crossings one at a time and merges partial states that pair their open arc
 ends (and, for the arrow, their reduced cusp words) alike, so its cost
-follows the number of distinct pairings rather than 2^n.  A partial state
-is a mate array over the step's boundary positions: slot ``2i`` holds the
-slot of position ``i``'s partner and slot ``2i + 1`` the word read towards
-it, packed as signed bytes, or as 8-byte ints when a slot or a word could
-pass 127.  Each step is planned from the ends alone, by a builder that
-carries the boundary, each end's slot and the stub flags from step to step
-and touches only the ends a step opens, retires or moves; a state then costs
-an array copy, two joins, a few slot moves and a byte slice, and its counts
-pass to its successors by reference, under an offset that adds the step's
-sigma and circles.  The bracket and the arrow polynomial smooth every
-crossing and read the aggregated counts through ``contract``; the parity
-bracket smooths only the even crossings, so the ports of the other
-crossings stay boundary ends to the end, and it reads one graph state per
-final pairing.  A code keeps one compiled form (``compiled_form``) with its
-crossing classification and one plan per smoothed set, so all invariants
-of a code share one compile, and the bracket and the arrow one plan.
+follows the number of distinct pairings rather than 2^n.  A partial state is
+a mate array over the step's boundary positions: slot ``2i`` holds the slot
+of position ``i``'s partner and slot ``2i + 1`` the word read towards it,
+packed as signed bytes, or as 8-byte ints when a slot or a word could pass
+127.  Each step is planned from the ends alone, as one flat tuple, by a
+builder that carries the boundary, each end's slot and the stub flags from
+step to step and touches only the ends a step opens, retires or moves.  A
+state then costs one array copy (its second choice smooths it in place), two
+joins per choice, with no word arithmetic in a run without words, a few slot
+moves and a truncation; its counts pass to its successors by reference,
+under an offset that adds the step's sigma and circles.  The bracket and the
+arrow polynomial smooth every crossing and read the aggregated counts
+through ``contract``; the parity bracket smooths only the even crossings, so
+the ports of the other crossings stay boundary ends to the end, and it reads
+one graph state per final pairing.  A code keeps one compiled form
+(``compiled_form``) with its crossing classification and one plan per
+smoothed set, so all invariants of a code share one compile, and the bracket
+and the arrow one plan.
 
 Reduced cusp words alternate L and R, so an int stands for one: its length,
 negated when the word starts with L; 0 is the empty word.  These are the
@@ -284,7 +286,9 @@ class CompiledCode:
         finished with cusps, and stay empty when ``want_words`` is false;
         words are then 0.  Pairings are decoded one at a time, so their
         counts never sit in memory all at once.  Partial states are mate
-        arrays (see the module docstring) smoothed as ``_plan`` says.
+        arrays (see the module docstring) smoothed as ``_plan`` says; each
+        step forms its choices' joins once, and without words a join writes
+        no word slot.
         """
         n = self.n
         # The frontier maps a packed mate array (bytes, not tuples: it is the
@@ -315,46 +319,61 @@ class CompiledCode:
 
         steps, boundary, typecode = self._plan(smooth)
         frontier: dict[bytes, tuple[int, dict[int, int]]] = {b"": (0, {n: 1})}
-        for tail, stub, choices, moves, cut in steps:
+        for tail, stub, cut, so, sd, ia, oa, ib, ob, c, moves in steps:
+            choices = ((so, ((ia, ob, 0), (ib, oa, 0))), (sd, ((ia, ib, c), (oa, ob, c))))
             merged: dict[bytes, tuple[int, dict[int, int]]] = {}
             owned: set[bytes] = set()
             while frontier:
                 key, (offset, inner) = frontier.popitem()
                 mates = array(typecode, key + tail)
-                for sigma, joins in choices[want_words]:
-                    m = mates[:]
-                    circles, ks, ls = 0, [], []
-                    for x, y, c in joins:
-                        px, py = m[x], m[y]
-                        if px == y:
-                            # Cusps reverse the strand, so a circle's word is even,
-                            # alternating and already cyclically reduced.
-                            circles += 1
+                m = mates[:]
+                for sigma, joins in choices:
+                    circles, ks, ls = 0, (), ()
+                    if not want_words:  # no word is ever written: all stay 0
+                        for x, y, _ in joins:
+                            px, py = m[x], m[y]
+                            if px == y:
+                                circles += 1
+                            elif stub[px] and stub[py]:
+                                m[px], m[py] = px, py
+                            else:
+                                m[px], m[py] = py, px
+                        for old, new in moves:
+                            m[m[old]] = new
+                            m[new] = m[old]
+                    else:
+                        for x, y, c in joins:
+                            px, py = m[x], m[y]
+                            if px == y:
+                                # Cusps reverse the strand, so a circle's word is
+                                # even, alternating and already cyclically reduced.
+                                circles += 1
+                                wy = m[y + 1]
+                                if w := abs(c - wy if c & 1 else c + wy):
+                                    ks += (w // 2,)
+                                continue
+                            w = m[x + 1]  # reversed, then times c, then times wy
+                            w = -w if w & 1 else w
+                            w = w - c if w & 1 else w + c
                             wy = m[y + 1]
-                            if w := abs(c - wy if c & 1 else c + wy):
-                                ks.append(w // 2)
-                            continue
-                        w = m[x + 1]  # reversed, then times c, then times wy
-                        w = -w if w & 1 else w
-                        w = w - c if w & 1 else w + c
-                        wy = m[y + 1]
-                        w = w - wy if w & 1 else w + wy
-                        if stub[px] and stub[py]:
-                            m[px], m[py] = px, py
-                            m[px + 1] = m[py + 1] = 0
-                            if w:
-                                ls.append((abs(w) + 1) // 2)
-                        else:
-                            m[px], m[py] = py, px
-                            m[px + 1] = w
-                            m[py + 1] = -w if w & 1 else w
-                    for old, new in moves:  # kept slots beyond the cut fill retired ones
-                        m[m[old]] = new
-                        m[new], m[new + 1] = m[old], m[old + 1]
-                    new_key = m[:cut].tobytes()
+                            w = w - wy if w & 1 else w + wy
+                            if stub[px] and stub[py]:
+                                m[px], m[py] = px, py
+                                m[px + 1] = m[py + 1] = 0
+                                if w:
+                                    ls += ((abs(w) + 1) // 2,)
+                            else:
+                                m[px], m[py] = py, px
+                                m[px + 1] = w
+                                m[py + 1] = -w if w & 1 else w
+                        for old, new in moves:  # kept slots beyond the cut fill retired ones
+                            m[m[old]] = new
+                            m[new], m[new + 1] = m[old], m[old + 1]
+                    del m[cut:]
+                    new_key = m.tobytes()
+                    m = mates  # the second choice smooths the popped array in place
                     shift = sigma + circles * stride
                     if ks or ls:
-                        ks, ls = tuple(ks), tuple(ls)
                         counts = {}
                         for ikey, count in inner.items():
                             mono, rest = divmod(ikey + offset, span)
@@ -393,12 +412,13 @@ class CompiledCode:
         smoothed set and kept in ``plans``, keyed by the sorted set, so a set
         of every crossing shares the full set's plan.  A step's extended
         boundary is the old one, then the ends of the arcs the crossing
-        opens.  Its plan: the packed mate slots (and zero words) of those
-        fresh ends, per-slot stub flags, each choice's sigma and (slot, slot,
-        cusp) joins, without cusps for the bracket and with them for the
-        arrow (indexed by ``want_words``), the (old, new) slot moves that
-        fill the crossing's retired slots from beyond the cut, and the cut,
-        the new key's slot count.
+        opens.  Its plan is one flat tuple ``(tail, stub, cut, sigma_oriented,
+        sigma_disoriented, ia, oa, ib, ob, cusp, moves)``: the packed mate
+        slots (and zero words) of those fresh ends, per-slot stub flags, the
+        new key's slot count, the crossing's ``sigma_table`` row, the slots of
+        its over and under in and out ends, the cusp that a disoriented site
+        puts on each of its joins (read on the over strand's side), and the
+        (old, new) slot moves that fill the retired slots from beyond the cut.
 
         The boundary (``row``), each end's slot and the stub flags carry over
         from step to step, and a step touches only the ends it opens, retires
@@ -432,23 +452,12 @@ class CompiledCode:
                     stub += b"\0\0\1\1" if far < 0 else b"\0\0\0\0"
                     tail += (i + 2, 0, i, 0)
             ia, oa, ib, ob = map(slot.pop, ends)
-            # A disoriented site puts one cusp on each of its two joins,
-            # read on the side of passage a when entering through ia or oa.
-            o, d = sigma_tab[k]
-            oriented = (o, ((ia, ob, 0), (ib, oa, 0)))
-            c = cusp[a]
-            choices = (
-                (oriented, (d, ((ia, ib, 0), (oa, ob, 0)))),
-                (oriented, (d, ((ia, ib, c), (oa, ob, c)))),
-            )
             # The four retired ends leave; kept ends among the last four
             # positions fill, in order, the retired positions below the cut.
             cut = 2 * len(row) - 8
             retired = sorted((ia, oa, ib, ob))
-            moves = []
-            if retired[0] < cut:
-                moves = list(zip([x for x in range(cut, cut + 8, 2) if x not in retired], retired))
-            steps.append((tail, bytes(stub), choices, moves, cut))
+            moves = tuple(zip([x for x in range(cut, cut + 8, 2) if x not in retired], retired))
+            steps.append((tail, bytes(stub), cut, *sigma_tab[k], ia, oa, ib, ob, cusp[a], moves))
             for old, new in moves:
                 e = row[new >> 1] = row[old >> 1]
                 slot[e] = new
@@ -457,7 +466,7 @@ class CompiledCode:
         # A reduced word on a pending arc has at most two cusps per crossing,
         # so slots (and words) fit signed bytes while both stay below 128.
         typecode = "b" if max([2 * self.n] + [len(step[1]) for step in steps]) < 128 else "q"
-        steps = [(array(typecode, tail).tobytes(), *rest) for tail, *rest in steps]
+        steps = tuple((array(typecode, tail).tobytes(), *rest) for tail, *rest in steps)
         plan = self.plans[key] = (steps, row[:], typecode)  # a copy sheds spare capacity
         return plan
 

@@ -40,20 +40,16 @@ def reference_plan(compiled, smooth=None):
         slot = {e: 2 * i for i, e in enumerate(row)}
         tail = [v for e in fresh for v in (slot[fresh[e]], 0)]
         stub = bytes(e < 0 for e in row for _ in (0, 1))
-        ia, oa, ib, ob = (slot[e] for e in ends)
-        oriented = (sigma_tab[k][0], ((ia, ob, 0), (ib, oa, 0)))
-        choices = tuple(
-            (oriented, (sigma_tab[k][1], ((ia, ib, c), (oa, ob, c)))) for c in (0, cusp[a])
-        )
+        slots = tuple(slot[e] for e in ends)  # ia, oa, ib, ob
         cut = 2 * (len(row) - 4)
         holes = sorted(slot[e] for e in ends if slot[e] < cut)
         kept = [i for i in range(cut, 2 * len(row), 2) if row[i >> 1] not in ends]
         for old, new in zip(kept, holes):
             row[new >> 1] = row[old >> 1]
-        steps.append((tail, stub, choices, list(zip(kept, holes)), cut))
+        steps.append((tail, stub, cut, *sigma_tab[k], *slots, cusp[a], tuple(zip(kept, holes))))
         boundary = row[: cut >> 1]
     typecode = "b" if max([2 * compiled.n] + [len(step[1]) for step in steps]) < 128 else "q"
-    steps = [(array(typecode, tail).tobytes(), *rest) for tail, *rest in steps]
+    steps = tuple((array(typecode, tail).tobytes(), *rest) for tail, *rest in steps)
     return steps, boundary, typecode
 
 

@@ -6,7 +6,9 @@ import dataclasses
 import gc
 import pickle
 import random
+import statistics
 import threading
+import tracemalloc
 import weakref
 
 from knotoids.affine import affine_index
@@ -18,7 +20,7 @@ from knotoids.errors import KnotoidError
 from knotoids.parity import odd_writhe
 from knotoids.parity_bracket import parity_bracket
 from knotoids.smoothing import CompiledCode, compiled_form
-from helpers import count_calls, random_code, random_multi_code
+from helpers import count_calls, invariant_suite, random_code, random_multi_code
 
 FIG1G = "open: OA+ OB+ UC+ UD+ UA+ OE+ UF+ OD+ UB+ UE+ OF+ OC+"
 
@@ -156,3 +158,24 @@ def test_one_compile_and_one_plan_per_smoothed_set(monkeypatch):
         assert calls.count("compile") == 1 and calls.count("classify_crossings") == 1, code
         assert calls.count("order") == (1 if even else 2), code
     assert all_even >= 5 and mixed >= 20
+
+
+def held_kb(code):
+    """The KB that ``code`` keeps once its five walk invariants are computed."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        invariant_suite(code)
+        gc.collect()
+        return (tracemalloc.get_traced_memory()[0] - before) / 1024
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_held_form_stays_small():
+    # Flat plan steps keep a 16-crossing code's form near 20 KB; steps of
+    # nested join tuples kept about 40.
+    rng = random.Random(1801)
+    sizes = [held_kb(random_code(rng, 16)) for _ in range(6)]
+    assert statistics.median(sizes) <= 25, sizes

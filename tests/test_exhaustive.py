@@ -1,15 +1,18 @@
 """Every small code against the independent references: the skein oracle,
 the bracket as the arrow's coefficient sum, the open parity bracket as the
 per-state sum over ``parity_states``, the closed parity bracket as that of
-the virtual closure, and the compiled form's crossings against
-``classify_crossings``.
+the virtual closure, the compiled form's crossings against
+``classify_crossings``, and the frontier's word-free joins against its
+joins with words.
 
 The family: every one-leg code of at most three crossings, each also as a
 single loop, and every cut of the one-leg codes of at most two crossings
 into two components, each open or a loop; a cut at either end leaves one
-component empty."""
+component empty.  The word-free joins also run on 30 seeded codes of 8 to
+12 crossings."""
 
 import itertools
+import random
 
 from knotoids.arrow import arrow_polynomial
 from knotoids.bracket import bracket, bracket_oracle
@@ -19,7 +22,7 @@ from knotoids.codes import (
 )
 from knotoids.parity_bracket import parity_bracket
 from knotoids.smoothing import compiled_form
-from helpers import all_codes
+from helpers import all_codes, random_code
 from reference import parity_reference
 
 KINDS = list(itertools.product((OPEN, LOOP), repeat=2))
@@ -72,15 +75,58 @@ def test_every_loop_of_at_most_three_crossings():
     assert seen == 1 + 4 + 48 + 960
 
 
-def test_every_two_component_code_of_at_most_two_crossings():
-    seen = empty = 0
+def two_component_codes():
     for n in range(3):
         for code in all_codes(n):
             passages = code.components[0].passages
             for cut, kinds in itertools.product(range(2 * n + 1), KINDS):
                 parts = (passages[:cut], passages[cut:])
-                check(KnotoidCode(tuple(ComponentCode(k, p) for k, p in zip(kinds, parts))))
-                seen += 1
-                empty += not all(parts)
+                yield KnotoidCode(tuple(ComponentCode(k, p) for k, p in zip(kinds, parts)))
+
+
+def test_every_two_component_code_of_at_most_two_crossings():
+    seen = empty = 0
+    for code in two_component_codes():
+        check(code)
+        seen += 1
+        empty += not all(code.components)
     assert seen == 4 * (1 + 4 * 3 + 48 * 5)
     assert empty == 4 * (1 + 2 * (4 + 48))
+
+
+def word_free_pairings(compiled, smooth):
+    """Each final pairing of the word-free run, without its zero words, to
+    its counts by (sigma, components)."""
+    out = {}
+    for pairing, counts in compiled.frontier(False, smooth):
+        assert all(w == 0 for _, w in pairing.values())
+        key = tuple((end, partner) for end, (partner, _) in pairing.items())
+        assert key not in out
+        out[key] = {(s, c): count for (s, c, ks, ls), count in counts.items() if not ks + ls}
+        assert len(out[key]) == len(counts)
+    return out
+
+
+def words_dropped(compiled, smooth):
+    """The run with words, its words dropped and its counts summed over the
+    K and L indices (and over pairings that differ only in words)."""
+    out = {}
+    for pairing, counts in compiled.frontier(True, smooth):
+        total = out.setdefault(tuple((end, partner) for end, (partner, _) in pairing.items()), {})
+        for (s, c, _, _), count in counts.items():
+            total[(s, c)] = total.get((s, c), 0) + count
+    return out
+
+
+def test_word_free_joins_agree_with_the_word_path():
+    rng = random.Random(1801)
+    one_leg = [code for n in range(4) for code in all_codes(n)]
+    seeded = [random_code(rng, rng.randint(8, 12), loops=rng.randint(0, 1)) for _ in range(30)]
+    worded = 0
+    for code in [*one_leg, *map(virtual_closure, one_leg), *two_component_codes(), *seeded]:
+        compiled = compiled_form(code)
+        for smooth in (None, compiled.even):
+            free = word_free_pairings(compiled, smooth)
+            assert free == words_dropped(compiled, smooth), (code, smooth)
+        worded += any(ks + ls for _, _, ks, ls in compiled.contract(True))
+    assert worded >= 1900

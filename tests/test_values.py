@@ -8,6 +8,7 @@ import pickle
 import pytest
 
 import knotoids as K
+from knotoids.catalog import catalog_entry
 
 FIG1G = "open: OA+ OB+ UC+ UD+ UA+ OE+ UF+ OD+ UB+ UE+ OF+ OC+"
 FIG18 = "open: O1+ U2- U1+ O2-"  # its parity bracket has a graphical term
@@ -64,3 +65,22 @@ def test_polynomial_terms_cannot_be_written():
         with pytest.raises(AttributeError):
             del poly.terms
         assert hash(poly) == before
+
+
+def test_catalog_entries_are_immutable_values():
+    entries = K.load_catalog()
+    for entry in entries:
+        for again in (pickle.loads(pickle.dumps(entry)), copy.deepcopy(entry)):
+            assert type(again) is type(entry)
+            assert again == entry and hash(again) == hash(entry), entry.id
+            assert type(again.expected) is type(entry.expected)
+    assert len(set(entries)) == len(entries)
+    entry = next(e for e in entries if e.expected)
+    key, value = next(iter(entry.expected.items()))
+    before = hash(entry)
+    with pytest.raises(TypeError):
+        entry.expected[key] = value + "1"
+    with pytest.raises(TypeError):
+        del entry.expected[key]
+    assert entry.expected[key] == value and hash(entry) == before
+    assert catalog_entry(entry.id) == entry

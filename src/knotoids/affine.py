@@ -106,12 +106,11 @@ def _weights(code: KnotoidCode) -> list[tuple[str, int, int, int, int]]:
 
 def weight_chart(code: KnotoidCode) -> WeightChart:
     """Per-crossing weights from the flat-diagram labeling, with each
-    crossing's parity class from the compiled form's classification."""
-    weights = _weights(code)
-    crossings = compiled_form(code).crossings
+    crossing's parity class from the compiled form."""
+    parities = compiled_form(code).parity
     return WeightChart(tuple(
-        WeightEntry(lab, sign, info.parity, *ws)
-        for (lab, sign, *ws), info in zip(weights, crossings)
+        WeightEntry(lab, sign, parity, *ws)
+        for (lab, sign, *ws), parity in zip(_weights(code), parities)
     ))
 
 

@@ -166,8 +166,9 @@ class Invariants:
 
     def labels(self, parity: str) -> str:
         """The labels of the crossings of one parity class, sorted and comma-joined."""
-        crossings = compiled_form(self.code).crossings
-        return ",".join(sorted(i.label for i in crossings if i.parity == parity))
+        compiled = compiled_form(self.code)
+        pairs = zip(compiled.labels, compiled.parity)
+        return ",".join(sorted(label for label, p in pairs if p == parity))
 
     def __getitem__(self, key: str):
         if key not in VALUES:
@@ -182,7 +183,7 @@ VALUES = {
     "odd_set": lambda v: ",".join(sorted(v.odd.odd_crossings)),
     "parity_even": lambda v: v.labels(EVEN),
     "parity_link": lambda v: v.labels(LINK),
-    "evenly_intersticed": lambda v: _evenly_intersticed(v.code, compiled_form(v.code).crossings),
+    "evenly_intersticed": lambda v: _evenly_intersticed(v.code, compiled_form(v.code).parity),
     "bracket": lambda v: v.bracket.render(),
     "normalized_bracket": lambda v: writhe_normalize(v.bracket, writhe(v.code)).render(),
     "arrow": lambda v: v.arrow.render(),

@@ -157,10 +157,11 @@ def _run(args) -> int:
         if args.format == "json":
             report["parity_terms"] = values.parity.to_json()
     elif args.command == "odd-writhe":
+        compiled = compiled_form(code)
         report |= {
             "odd_writhe": values["odd_writhe"],
             "odd_crossings": sorted(values.odd.odd_crossings),
-            "parity": {i.label: i.parity for i in compiled_form(code).crossings},
+            "parity": dict(zip(compiled.labels, compiled.parity)),
         }
     elif args.command == "genus":
         report["genus"] = values["genus"]

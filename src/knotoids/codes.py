@@ -10,7 +10,7 @@ with a common sign.
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -271,14 +271,14 @@ def classify_crossings(code: KnotoidCode) -> list[CrossingInfo]:
 
 def evenly_intersticed(code: KnotoidCode) -> bool:
     """True when every crossing of a single open component is even."""
-    return _evenly_intersticed(code, classify_crossings(code))
+    return _evenly_intersticed(code, [info.parity for info in classify_crossings(code)])
 
 
-def _evenly_intersticed(code: KnotoidCode, crossings: list[CrossingInfo]) -> bool:
-    """``evenly_intersticed`` of a code whose crossings are classified."""
+def _evenly_intersticed(code: KnotoidCode, parities: Iterable[str]) -> bool:
+    """``evenly_intersticed`` of a code, given each crossing's parity class."""
     if not code.is_standard_knotoid():
         raise ShapeError("evenly-intersticed is defined for one open component")
-    return all(info.parity == EVEN for info in crossings)
+    return all(parity == EVEN for parity in parities)
 
 
 def spiral(n: int, signs) -> KnotoidCode:

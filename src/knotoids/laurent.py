@@ -134,19 +134,10 @@ class Laurent(_Frozen):
         parts = []
         for e in exponents:
             c = self.terms[e]
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                var = self.VAR if e == 1 else f"{self.VAR}^{e}"
-                body = var if mag == 1 else f"{mag}{var}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = (first_sign if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += sign + body
-        return text
+            var = "" if e == 0 else self.VAR if e == 1 else f"{self.VAR}^{e}"
+            body = var if abs(c) == 1 and var else f"{abs(c)}{var}"
+            parts.append(("-" if c < 0 else "+") + body)
+        return "".join(parts).removeprefix("+")
 
     def to_json(self) -> dict[str, int]:
         return {str(e): self.terms[e] for e in sorted(self.terms)}
@@ -313,10 +304,7 @@ class ArrowPoly(_Frozen):
         """Replace every L_i by K_i (the virtual-closure specialization)."""
         out = ArrowPoly.zero()
         for m, c in self.terms.items():
-            k_indices = []
-            for i, j in m.k_factors:
-                k_indices.extend([i] * j)
-            k_indices.extend(m.lambda_factors)
+            k_indices = [i for i, j in m.k_factors for _ in range(j)] + list(m.lambda_factors)
             out = out + ArrowPoly({ArrowMonomial.build(k_indices, ()): c})
         return out
 
@@ -344,10 +332,7 @@ class ArrowPoly(_Frozen):
                 parts.append(m.render())
             else:
                 parts.append(f"({coeff.render()}){m.render()}")
-        text = parts[0]
-        for p in parts[1:]:
-            text += p if p.startswith("-") else "+" + p
-        return text
+        return parts[0] + "".join(p if p.startswith("-") else "+" + p for p in parts[1:])
 
     def to_json(self):
         ordered = sorted(self.terms, key=lambda m: m.sort_key())

@@ -16,5 +16,6 @@ class OddWritheReport:
 
 def odd_writhe(code: KnotoidCode) -> OddWritheReport:
     """Sum of signs over odd self-crossings (link crossings contribute 0)."""
-    odd = [info for info in compiled_form(code).crossings if info.parity == ODD]
-    return OddWritheReport(frozenset(info.label for info in odd), sum(info.sign for info in odd))
+    c = compiled_form(code)
+    odd = [(label, sign) for label, sign, p in zip(c.labels, c.cross_sign, c.parity) if p == ODD]
+    return OddWritheReport(frozenset(label for label, _ in odd), sum(sign for _, sign in odd))

@@ -5,23 +5,25 @@ nodes carrying the cyclic rotation inherited from the crossing.  Node pairs
 bounding a reducible bigon are spliced away; whatever graph survives is a
 polynomial coefficient, keyed up to relabeling by a traversal canonical
 form, the least string trace over the admissible starts.  Traces are
-followed as small ints ranked to order as their strings do, each is cut
-short once it passes the best so far, and only the winner is rendered to
-its string.  Where every port is a start (no stubs), only the starts whose
-first strand reads least up to its first revisit are traced: every trace
-begins with that signature, and no signature is a prefix of another.  A
-state contributes A^(n(S)) d^(components-1), counting surviving graphs,
-plain circles and the long segment alike, so that all-even inputs
-reproduce the ordinary bracket exactly.
+followed as small ints ranked to order as their strings do (ranks and
+token strings come from one table per node count), each is cut short once
+it passes the best so far, and only the winner is rendered.  Where every
+port is a start (no stubs), only the starts whose first strand reads least
+up to its first revisit are traced: every trace begins with that
+signature, and no signature is a prefix of another.  A state contributes
+A^(n(S)) d^(components-1), counting surviving graphs, plain circles and
+the long segment alike, so that all-even inputs reproduce the ordinary
+bracket exactly.
 
 The state sum is a projection of ``CompiledCode.frontier``: only the even
 crossings are smoothed, so the four ports of every node stay boundary
 ends, and each distinct final pairing of node ports and stubs is exactly
-one graph state.  It is built, reduced and given its canonical form once,
-and weighted by the counts of all the states that share it.  A graph
-state numbers the ports of its i-th node ``4 * i + slot`` (see
-``GraphState``), so bigon search, splicing and traces move between ports
-by arithmetic alone.
+one graph state.  It is read straight off the final mate array, with the
+boundary's positions mapped to ports once per call, then reduced and
+given its canonical form once, and weighted by the counts of all the
+states that share it.  A graph state numbers the ports of its i-th node
+``4 * i + slot`` (see ``GraphState``), so bigon search, splicing and
+traces move between ports by arithmetic alone.
 ``parity_states`` remains as an independent reference for the tests: it
 glues each of the 2^e smoothings with ``CompiledCode.glue_for_mask`` and
 follows its strands from node port to node port in ``_build_state``.
@@ -37,6 +39,7 @@ those particular slides.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -268,6 +271,8 @@ def canonical_graph(state: GraphState) -> list[str]:
     lists compare as the joined strings.  A trace is cut short once it is
     greater than the best trace so far, which leaves the minimum
     unchanged, and only each component's winner is rendered to a string.
+    The ranks and each token's string come from ``_token_table``, one
+    table per node count, so no call sorts ids or formats a token.
 
     In a stub-free component, where every port is a start, only the starts
     whose signature is least are traced.  A start's signature is its first
@@ -288,11 +293,8 @@ def canonical_graph(state: GraphState) -> list[str]:
     token lists, never by length.
     """
     partner = state.partner
-    by_string = sorted(range(len(state.nodes)), key=str)
-    ranks = [0] * len(by_string)
-    for rank, node_id in enumerate(by_string):
-        ranks[node_id] = 4 * rank
-    top = 4 * len(by_string)
+    ranks, strings = _token_table(len(state.nodes))
+    top = ranks[-1]
     encodings = []
     # In a component, local port 4 * i + slot is port ``slot`` of its i-th
     # node in search order; ``succ`` maps a local port to the one entered
@@ -319,11 +321,18 @@ def canonical_graph(state: GraphState) -> list[str]:
         best = list(_trace(succ, ranks, top, starts[0]))
         for start in starts[1:]:
             best = _least(_trace(succ, ranks, top, start), best)
-        encodings.append(",".join(
-            f"{by_string[tok >> 2]}.{tok & 3}" if tok < top else "CEST"[tok - top]
-            for tok in best
-        ))
+        encodings.append(",".join(map(strings.__getitem__, best)))
     return sorted(encodings)
+
+
+@functools.cache
+def _token_table(n: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """For ``n`` nodes: ``ranks[i]``, 4 times id ``i``'s place among the ids'
+    decimal strings, then ``top = 4 * n``; and ``strings[tok]``, the string
+    of int token ``tok``.  Built once per node count."""
+    by_string = sorted(range(n), key=str)
+    ranks = (*(4 * by_string.index(i) for i in range(n)), 4 * n)
+    return ranks, (*[f"{i}.{o}" for i in by_string for o in range(4)], *"CEST")
 
 
 def _least_signatures(succ, ranks, top) -> list[int]:
@@ -336,9 +345,9 @@ def _least_signatures(succ, ranks, top) -> list[int]:
     later, so the key ``(0, m, tok)`` or ``(1, -m, tok)`` orders the
     signatures as their token lists.  Each start walks its first strand
     only until its signature is known, or until it reaches a new node at
-    the token where the best so far left below.
+    the token where the best so far left below.  ``ranks`` ends with
+    ``top``, since ``m`` may be every node and a close is not below that.
     """
-    ranks = [*ranks, top]  # m may be every node; a close is not below that
     nodes = len(succ) >> 2
     walk = [-1] * nodes  # the start whose walk entered the node last
     index = [0] * nodes  # the node's place in that walk
@@ -501,15 +510,17 @@ def parity_bracket(
             direct[-(2 * ci + 1)] = -(2 * ci + 2)
             direct[-(2 * ci + 2)] = -(2 * ci + 1)
 
+    # Each final boundary end is a node port or a stub: slot 2 * i names row[i].
+    row = [ports.get(end, end) for end in compiled.boundary(even)]
+    by_slot = [port for port in row for _ in (0, 1)]
+    stubs = [(s, 2 * i) for i, s in enumerate(row) if s < 0]
     by_key: dict[str, dict[tuple[int, int], int]] = {}
-    for pairing, counts in compiled.frontier(False, even):
+    for mates, counts in compiled.frontier(False, even):
         partner = dict(direct)
-        finished = []  # stubs of node-free segments, each paired with itself
-        for end, (other, _word) in pairing.items():
-            if end == other:
-                finished.append(end)
-            else:
-                partner[ports.get(end, end)] = ports.get(other, other)
+        partner.update(zip(row, map(by_slot.__getitem__, mates[::2])))
+        # Stubs of finished segments pair with themselves; any pairing of them
+        # counts the same node-free segments.
+        finished = [s for s, i in stubs if mates[i] == i]
         for s, t in zip(finished[::2], finished[1::2]):
             partner[s] = t
             partner[t] = s

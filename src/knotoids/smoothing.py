@@ -28,10 +28,10 @@ under an offset that adds the step's sigma and circles.  The bracket and the
 arrow polynomial smooth every crossing and read the aggregated counts
 through ``contract``; the parity bracket smooths only the even crossings, so
 the ports of the other crossings stay boundary ends to the end, and it reads
-one graph state per final pairing.  A code keeps one compiled form
-(``compiled_form``) with its crossing classification and one plan per
-smoothed set, so all invariants of a code share one compile, and the bracket
-and the arrow one plan.
+one graph state straight off each final mate array, against the final
+``boundary``.  A code keeps one compiled form (``compiled_form``) with each
+crossing's parity class and one plan per smoothed set, so all invariants of
+a code share one compile, and the bracket and the arrow one plan.
 
 Reduced cusp words alternate L and R, so an int stands for one: its length,
 negated when the word starts with L; 0 is the empty word.  These are the
@@ -50,7 +50,7 @@ from __future__ import annotations
 from array import array
 from functools import cached_property
 
-from .codes import EVEN, CrossingInfo, KnotoidCode, OPEN, OVER, classify_crossings
+from .codes import EVEN, KnotoidCode, OPEN, OVER, classify_crossings
 
 DEFAULT_STATE_LIMIT = 24
 
@@ -74,7 +74,7 @@ def compiled_form(code: KnotoidCode) -> CompiledCode:
 
 class CompiledCode:
     """Array form of a code: crossings, signs, arc succession, the crossing
-    classification, and the contraction plans built so far."""
+    parity classes, and the contraction plans built so far."""
 
     def __init__(self, code: KnotoidCode):
         # One walk over the passages numbers the crossings by first sight:
@@ -147,13 +147,13 @@ class CompiledCode:
         ]
 
     @cached_property
-    def crossings(self) -> list[CrossingInfo]:
-        return classify_crossings(KnotoidCode(self.components))
+    def parity(self) -> tuple[str, ...]:
+        """Each crossing's ``EVEN``, ``ODD`` or ``LINK`` class, in first-sight order as here."""
+        return tuple(info.parity for info in classify_crossings(KnotoidCode(self.components)))
 
     @cached_property
     def even(self) -> list[int]:
-        # ``classify_crossings`` lists crossings by first sight, as here.
-        return [k for k, info in enumerate(self.crossings) if info.parity == EVEN]
+        return [k for k, parity in enumerate(self.parity) if parity == EVEN]
 
     def glue_for_mask(self, mask: int) -> list[int]:
         """Each end's partner when set bit ``k`` smooths crossing ``k`` disoriented."""
@@ -279,16 +279,16 @@ class CompiledCode:
         themselves.  The ends of crossings outside ``smooth`` are never
         retired, so they stay on the boundary to the end.
 
-        Yields, per final pairing -- a dict from each boundary end, in
-        increasing order, to (partner, word) -- the counts keyed by (sigma,
-        ``fixed`` + closed circles, K indices, L indices).  The index
-        tuples are sorted, list each circle ``K_i`` and segment ``L_i``
-        finished with cusps, and stay empty when ``want_words`` is false;
-        words are then 0.  Pairings are decoded one at a time, so their
-        counts never sit in memory all at once.  Partial states are mate
-        arrays (see the module docstring) smoothed as ``_plan`` says; each
-        step forms its choices' joins once, and without words a join writes
-        no word slot.
+        Yields, per final pairing, its mate array over ``boundary(smooth)``,
+        undecoded (the stubs of a finished segment pair with themselves),
+        and its counts keyed by (sigma, ``fixed`` + closed circles, K
+        indices, L indices).  The index tuples are sorted, list each circle
+        ``K_i`` and segment ``L_i`` finished with cusps, and stay empty when
+        ``want_words`` is false; words are then 0.  Counts are keyed one
+        pairing at a time, so they never sit in memory all at once.  Partial
+        states are mate arrays (see the module docstring) smoothed as
+        ``_plan`` says; each step forms its choices' joins once, and without
+        words a join writes no word slot.
         """
         n = self.n
         # The frontier maps a packed mate array (bytes, not tuples: it is the
@@ -317,7 +317,7 @@ class CompiledCode:
                 grown[step] = monomial_ids[full]
             return grown[step]
 
-        steps, boundary, typecode = self._plan(smooth)
+        steps, _, typecode = self._plan(smooth)
         frontier: dict[bytes, tuple[int, dict[int, int]]] = {b"": (0, {n: 1})}
         for tail, stub, cut, so, sd, ia, oa, ib, ob, c, moves in steps:
             choices = ((so, ((ia, ob, 0), (ib, oa, 0))), (sd, ((ia, ib, c), (oa, ob, c))))
@@ -402,9 +402,11 @@ class CompiledCode:
                 mono, rest = divmod(ikey + offset, span)
                 circles, sigma = divmod(rest, stride)
                 counts[(sigma - n, fixed + circles, *monomials[mono])] = count
-            mates = array(typecode, key)
-            ends = zip(boundary, zip([boundary[i >> 1] for i in mates[::2]], mates[1::2]))
-            yield dict(sorted(ends)), counts
+            yield array(typecode, key), counts
+
+    def boundary(self, smooth=None) -> list[int]:
+        """The ends on the final boundary of ``frontier(_, smooth)``, by position."""
+        return self._plan(smooth)[1]
 
     def _plan(self, smooth):
         """Per step of ``frontier``, what every state's smoothing reads; the

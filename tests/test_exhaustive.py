@@ -94,11 +94,27 @@ def test_every_two_component_code_of_at_most_two_crossings():
     assert empty == 4 * (1 + 2 * (4 + 48))
 
 
+def decoded_frontier(compiled, want_words, smooth):
+    """``frontier``'s final pairings, each decoded from its mate array to a
+    dict from each boundary end, in increasing order, to (partner, word).
+
+    A mate array pairs the boundary's positions both ways, and only a stub
+    pairs with itself (the end of a finished segment).
+    """
+    boundary = compiled.boundary(smooth)
+    for mates, counts in compiled.frontier(want_words, smooth):
+        assert len(mates) == 2 * len(boundary)
+        for i, j in enumerate(mates[::2]):
+            assert mates[j] == 2 * i and (j != 2 * i or boundary[i] < 0)
+        ends = zip(boundary, zip([boundary[i >> 1] for i in mates[::2]], mates[1::2]))
+        yield dict(sorted(ends)), counts
+
+
 def word_free_pairings(compiled, smooth):
     """Each final pairing of the word-free run, without its zero words, to
     its counts by (sigma, components)."""
     out = {}
-    for pairing, counts in compiled.frontier(False, smooth):
+    for pairing, counts in decoded_frontier(compiled, False, smooth):
         assert all(w == 0 for _, w in pairing.values())
         key = tuple((end, partner) for end, (partner, _) in pairing.items())
         assert key not in out
@@ -111,7 +127,7 @@ def words_dropped(compiled, smooth):
     """The run with words, its words dropped and its counts summed over the
     K and L indices (and over pairings that differ only in words)."""
     out = {}
-    for pairing, counts in compiled.frontier(True, smooth):
+    for pairing, counts in decoded_frontier(compiled, True, smooth):
         total = out.setdefault(tuple((end, partner) for end, (partner, _) in pairing.items()), {})
         for (s, c, _, _), count in counts.items():
             total[(s, c)] = total.get((s, c), 0) + count

@@ -3,11 +3,12 @@
 ``parity_bracket`` reads one graph state per distinct final pairing of the
 frontier engine; ``reference.parity_reference`` builds, reduces and
 canonicalizes every one of the 2^e states from ``parity_states``, as the
-bracket's definition reads.  ``canonical_graph``'s cut-short int traces are checked
-against the plain minimum of full string traces from ``trace_component``,
-its pruned starts against the first-strand signatures of those traces,
-and ``_find_bigon`` against the pairwise bigon criterion of
-``reference_bigons``.
+bracket's definition reads, also on codes whose final pairings finish
+several node-free segments.  ``canonical_graph``'s cut-short int traces
+are checked against the plain minimum of full string traces from
+``trace_component``, its pruned starts against the first-strand
+signatures of those traces, and ``_find_bigon`` against the pairwise
+bigon criterion of ``reference_bigons``.
 """
 
 import itertools
@@ -41,8 +42,8 @@ from knotoids.parity_bracket import (
     parity_states,
     reduce_graph,
 )
-from knotoids.smoothing import CompiledCode
-from helpers import random_code, random_multi_code
+from knotoids.smoothing import CompiledCode, compiled_form
+from helpers import all_codes, random_code, random_multi_code
 from reference import parity_reference, segments
 
 
@@ -97,6 +98,47 @@ def test_codes_with_several_legs():
         legs = max(legs, len(code.open_components))
         assert_matches(code)
     assert legs >= 3
+
+
+# Legs whose crossings are all even self-crossings: kinks and nested kinks.
+CURLS = ("O1+ U1+", "U1- O1-", "O1+ U1+ O2- U2-", "O1+ O2+ U2+ U1+")
+
+
+def curl_leg(text: str, tag: str) -> ComponentCode:
+    tokens = parse(f"open: {text}").components[0].passages if text else ()
+    return ComponentCode("open", tuple(Passage(p.role, tag + p.label, p.sign) for p in tokens))
+
+
+def curl_family():
+    """3-4-leg codes: a leg with odd crossings beside two node-free curls,
+    and no fourth leg, an empty one or a third curl, the legs rotated
+    differently from one odd leg to the next."""
+    odd_legs = [code for n in (2, 3) for code in all_codes(n) if "odd" in parities(code)]
+    for i, code in enumerate(odd_legs[::25]):
+        for first, second in itertools.combinations_with_replacement(CURLS, 2):
+            for extra in ((), ("",), ("U1+ O1+",)):
+                legs = [curl_leg(first, "p"), code.components[0], curl_leg(second, "q")]
+                legs += [curl_leg(text, "r") for text in extra]
+                yield KnotoidCode(tuple(legs[i % 3 :] + legs[: i % 3]))
+
+
+def test_pairings_with_several_finished_segments():
+    """Every state of these codes finishes both curls as node-free
+    segments, so each final pairing leaves at least four stubs paired with
+    themselves; the parity bracket, open and closed, must not depend on how
+    those stubs pair up."""
+    codes = pairings = three = 0
+    for code in curl_family():
+        assert parity_bracket(code) == parity_reference(code), code
+        assert parity_bracket(code, closed=True) == parity_reference(code, closed=True), code
+        compiled = compiled_form(code)
+        for mates, _ in compiled.frontier(False, compiled.even):
+            stubs = sum(mates[j] == j for j in range(0, len(mates), 2))
+            assert stubs >= 4, code
+            pairings += 1
+            three += stubs >= 6
+        codes += 1
+    assert codes == 24 * 10 * 3 and pairings >= 1000 and three >= 300, (pairings, three)
 
 
 def test_loop_only_codes():

@@ -18,8 +18,11 @@ end-to-end metric, the quartiles of each side
 (``statistics.quantiles(n=4, method='inclusive')``), the pairs the change
 won, and ``change_worse_by``: the relative gap of the medians, positive
 when the change is worse.  With ``--traced-seed S``, each checkout also runs
-one ``--trace 1`` replay of seed ``S`` per workload, and the summary keeps
-its per-layer metrics, its ``unwrapped`` list and its outputs digest.
+three ``--trace 1`` replays of seed ``S`` per workload, the parent first in
+the first and third round and the change first in the second.  Per side,
+the summary keeps each per-layer metric's median next to every replay's
+value, the ``unwrapped`` names and the outputs digests of those replays, so
+one replay's noise does not read as a layer's saving.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 SECONDS = 20  # the benchmark's run length, the same on both sides
+TRACED_REPLAYS = 3  # per side and workload, with --traced-seed
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -69,6 +73,32 @@ def traced(root: Path, workload: str, seed: int) -> dict:
         "outputs_digest": detail["outputs_digest"],
         "correct": record["result"]["correct"],
     }
+
+
+def traced_replays(roots: dict, workload: str, seed: int) -> dict:
+    """``TRACED_REPLAYS`` traced replays of ``seed`` per side, alternating
+    which side runs first; per side, each metric's median and replays."""
+    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+    for replay in range(TRACED_REPLAYS):
+        for side in SIDES if replay % 2 == 0 else SIDES[::-1]:
+            runs[side].append(traced(roots[side], workload, seed))
+    out: dict = {"seed": seed, "replays": TRACED_REPLAYS}
+    for side, records in runs.items():
+        done = [r for r in records if "error" not in r]
+        out[side] = {
+            "metrics": {
+                name: {
+                    "median": statistics.median(r["metrics"][name] for r in done),
+                    "replays": [r["metrics"][name] for r in done],
+                }
+                for name in (done[0]["metrics"] if done else {})
+            },
+            "unwrapped": sorted({name for r in done for name in r["unwrapped"]}),
+            "outputs_digests": sorted({r["outputs_digest"] for r in done}),
+            "correct": all(r["correct"] for r in done),
+            "errors": [r["error"] for r in records if "error" in r],
+        }
+    return out
 
 
 def quartiles(values: list[float]) -> dict:
@@ -160,7 +190,7 @@ def main(argv=None) -> int:
     parser.add_argument("--target", default="win at least 9 of 10 pairs, median gap larger than the parent's IQR")
     parser.add_argument("--note", action="append", default=[], help="KEY=TEXT, added to the summary")
     parser.add_argument("--traced-seed", type=int, default=None,
-                        help="also run one --trace 1 replay of this seed per side and workload")
+                        help="also run three --trace 1 replays of this seed per side and workload")
     args = parser.parse_args(argv)
 
     log = args.out.with_name(args.out.name + ".runs.jsonl")
@@ -195,10 +225,9 @@ def main(argv=None) -> int:
     }
     if args.traced_seed is not None:
         for workload in args.workloads:
-            summary["workloads"][workload]["traced"] = {
-                "seed": args.traced_seed,
-                **{side: traced(roots[side], workload, args.traced_seed) for side in SIDES},
-            }
+            summary["workloads"][workload]["traced"] = traced_replays(
+                roots, workload, args.traced_seed
+            )
     for note in args.note:
         key, _, text = note.partition("=")
         summary[key] = text

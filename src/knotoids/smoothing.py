@@ -24,8 +24,8 @@ step to step and touches only the ends a step opens, retires or moves.  A
 state then costs one array copy (its second choice smooths it in place), two
 joins per choice, with no word arithmetic in a run without words, a few slot
 moves and a truncation; its counts pass to its successors by reference,
-under an offset that adds the step's sigma and circles.  The bracket and the
-arrow polynomial smooth every crossing and read the aggregated counts
+under an offset that adds the step's sigma, circles, K_i and L_j.  The
+bracket and the arrow smooth every crossing and read the aggregated counts
 through ``contract``; the parity bracket smooths only the even crossings, so
 the ports of the other crossings stay boundary ends to the end, and it reads
 one graph state straight off each final mate array, against the final
@@ -48,7 +48,7 @@ its view, one state per mask with cusp words reduced by
 from __future__ import annotations
 
 from array import array
-from functools import cached_property
+from functools import cache, cached_property
 
 from .codes import EVEN, KnotoidCode, OPEN, OVER, classify_crossings
 
@@ -284,39 +284,26 @@ class CompiledCode:
         and its counts keyed by (sigma, ``fixed`` + closed circles, K
         indices, L indices).  The index tuples are sorted, list each circle
         ``K_i`` and segment ``L_i`` finished with cusps, and stay empty when
-        ``want_words`` is false; words are then 0.  Counts are keyed one
-        pairing at a time, so they never sit in memory all at once.  Partial
-        states are mate arrays (see the module docstring) smoothed as
-        ``_plan`` says; each step forms its choices' joins once, and without
-        words a join writes no word slot.
+        ``want_words`` is false; words are then 0.  A state's monomial is a
+        number in the digits of ``_monomial_places``, so a K_i or L_j adds a
+        place value as sigma and circles do, and each distinct monomial is
+        decoded once per call.  Counts are keyed one pairing at a time, so
+        they never sit in memory all at once.  Partial states are mate arrays
+        smoothed as ``_plan`` says; without words a join writes no word slot.
         """
         n = self.n
         # The frontier maps a packed mate array (bytes, not tuples: it is the
         # engine's peak memory) to an offset and a dict of counts by inner
-        # key; inner key plus offset packs (monomial id, closed circles,
-        # sigma + n).  A successor whose monomials do not grow takes its
-        # predecessor's dict by reference and adds its sigma and circles to
-        # the offset, so both choices share one dict.  A dict is copied only
-        # when a second state merges into its key, and built anew when a
-        # monomial grows; only those in ``owned``, made by a merge this step,
-        # may be added to in place.
+        # key; inner key plus offset packs (monomial, closed circles,
+        # sigma + n).  Every successor takes its predecessor's dict by
+        # reference and adds its sigma, circles, K_i and L_j to the offset,
+        # so both choices share one dict.  A dict is copied only when a
+        # second state merges into its key; only those in ``owned``, made by
+        # a merge this step, may be added to in place.
         stride = 2 * n + 1  # sigma + n runs over 0..2n
         span = stride * (2 * n + 1)  # and closed circles over 0..2n
-        monomials: list[tuple[tuple, tuple]] = [((), ())]
-        monomial_ids = {((), ()): 0}
-        grown: dict[tuple[int, tuple, tuple], int] = {}
-
-        def grow(mono: int, ks: tuple, ls: tuple) -> int:
-            step = (mono, ks, ls)
-            if step not in grown:
-                old_ks, old_ls = monomials[mono]
-                full = (tuple(sorted(old_ks + ks)), tuple(sorted(old_ls + ls)))
-                if full not in monomial_ids:
-                    monomial_ids[full] = len(monomials)
-                    monomials.append(full)
-                grown[step] = monomial_ids[full]
-            return grown[step]
-
+        if want_words:
+            unit_k, unit_l, radices = _monomial_places(n, len(self.open_comps))
         steps, _, typecode = self._plan(smooth)
         frontier: dict[bytes, tuple[int, dict[int, int]]] = {b"": (0, {n: 1})}
         for tail, stub, cut, so, sd, ia, oa, ib, ob, c, moves in steps:
@@ -327,13 +314,12 @@ class CompiledCode:
                 key, (offset, inner) = frontier.popitem()
                 mates = array(typecode, key + tail)
                 m = mates[:]
-                for sigma, joins in choices:
-                    circles, ks, ls = 0, (), ()
+                for shift, joins in choices:
                     if not want_words:  # no word is ever written: all stay 0
                         for x, y, _ in joins:
                             px, py = m[x], m[y]
                             if px == y:
-                                circles += 1
+                                shift += stride
                             elif stub[px] and stub[py]:
                                 m[px], m[py] = px, py
                             else:
@@ -347,10 +333,8 @@ class CompiledCode:
                             if px == y:
                                 # Cusps reverse the strand, so a circle's word is
                                 # even, alternating and already cyclically reduced.
-                                circles += 1
                                 wy = m[y + 1]
-                                if w := abs(c - wy if c & 1 else c + wy):
-                                    ks += (w // 2,)
+                                shift += stride + unit_k[abs(c - wy if c & 1 else c + wy) // 2]
                                 continue
                             w = m[x + 1]  # reversed, then times c, then times wy
                             w = -w if w & 1 else w
@@ -360,8 +344,7 @@ class CompiledCode:
                             if stub[px] and stub[py]:
                                 m[px], m[py] = px, py
                                 m[px + 1] = m[py + 1] = 0
-                                if w:
-                                    ls += ((abs(w) + 1) // 2,)
+                                shift += unit_l[(abs(w) + 1) // 2]
                             else:
                                 m[px], m[py] = py, px
                                 m[px + 1] = w
@@ -372,36 +355,35 @@ class CompiledCode:
                     del m[cut:]
                     new_key = m.tobytes()
                     m = mates  # the second choice smooths the popped array in place
-                    shift = sigma + circles * stride
-                    if ks or ls:
-                        counts = {}
-                        for ikey, count in inner.items():
-                            mono, rest = divmod(ikey + offset, span)
-                            counts[grow(mono, ks, ls) * span + rest + shift] = count
-                        value = (0, counts)
-                    else:
-                        value = (offset + shift, inner)
                     known = merged.get(new_key)
                     if known is None:
-                        merged[new_key] = value
+                        merged[new_key] = (offset + shift, inner)
                         continue
                     base, counts = known
                     if new_key not in owned:
                         counts = dict(counts)
                         merged[new_key] = (base, counts)
                         owned.add(new_key)
-                    delta = value[0] - base
+                    delta = offset + shift - base
                     get = counts.get
-                    for ikey, count in value[1].items():
+                    for ikey, count in inner.items():
                         ikey += delta
                         counts[ikey] = get(ikey, 0) + count
             frontier = merged
+        decoded = {0: ((), ())}  # each distinct monomial's K and L indices
         for key, (offset, inner) in frontier.items():
             counts = {}
             for ikey, count in inner.items():
                 mono, rest = divmod(ikey + offset, span)
+                monomial = decoded.get(mono)
+                if monomial is None:
+                    digits, ks, ls = mono, [], []
+                    for d, radix in enumerate(radices):
+                        digits, e = divmod(digits, radix)
+                        (ls if d & 1 else ks).extend([d // 2 + 1] * e)
+                    monomial = decoded[mono] = (tuple(ks), tuple(ls))
                 circles, sigma = divmod(rest, stride)
-                counts[(sigma - n, fixed + circles, *monomials[mono])] = count
+                counts[(sigma - n, fixed + circles, *monomial)] = count
             yield array(typecode, key), counts
 
     def boundary(self, smooth=None) -> list[int]:
@@ -475,6 +457,24 @@ class CompiledCode:
     def sigma_table(self) -> list[tuple[int, int]]:
         """Per crossing (oriented, disoriented) contributions to #A - #B."""
         return [(1, -1) if s > 0 else (-1, 1) for s in self.cross_sign]
+
+
+@cache
+def _monomial_places(n: int, legs: int) -> tuple[tuple[int, ...], ...]:
+    """The place values of K_i and L_i in ``frontier``'s packed keys (index 0
+    adds 0), above the (circles, sigma) span, and the radix of each digit,
+    interleaved K_1, L_1, K_2, ... so that common monomials stay small ints.
+    Reduced words total at most two cusps per smoothed crossing, and each
+    open leg has one segment, so no digit reaches its radix: K_i's exponent
+    is at most n // i, and L_i's at most min(legs, 2n // (2i - 1)).
+    """
+    units, radices, place = ([0], [0]), [], (2 * n + 1) ** 2
+    for i in range(1, n + 1):
+        for unit, radix in zip(units, (n // i + 1, min(legs, 2 * n // (2 * i - 1)) + 1)):
+            unit.append(place)
+            radices.append(radix)
+            place *= radix
+    return (*map(tuple, units), tuple(radices))
 
 
 def trace_state(compiled: CompiledCode, glue: list[int], want_words: bool):

@@ -26,6 +26,9 @@ def scan_counts(compiled: CompiledCode, want_words: bool) -> dict:
     """The scan's states aggregated in ``contract``'s key format."""
     counts: dict = {}
     for sigma, comps, segments, circles in compiled.scan(want_words):
+        # Reduced words keep at most two cusps per crossing, which bounds
+        # every digit of the frontier's packed monomial.
+        assert sum(segments) + sum(circles) <= 2 * compiled.n
         key = (
             sigma,
             comps,
@@ -39,10 +42,13 @@ def scan_counts(compiled: CompiledCode, want_words: bool) -> dict:
 def assert_same_counts(code):
     compiled = CompiledCode(code)
     for want_words in (False, True):
-        assert compiled.contract(want_words) == scan_counts(compiled, want_words), (
-            code,
-            want_words,
-        )
+        counts = compiled.contract(want_words)
+        assert counts == scan_counts(compiled, want_words), (code, want_words)
+    # No K_i exponent and no L_j count reaches its digit's radix.
+    n, legs = compiled.n, len(compiled.open_comps)
+    for _, _, ks, ls in counts:
+        assert all(ks.count(i) <= n // i for i in ks), (code, ks)
+        assert all(ls.count(j) <= min(legs, 2 * n // (2 * j - 1)) for j in ls), (code, ls)
 
 
 def test_one_leg_codes_with_loops():

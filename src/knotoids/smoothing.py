@@ -48,7 +48,7 @@ its view, one state per mask with cusp words reduced by
 from __future__ import annotations
 
 from array import array
-from functools import cache, cached_property
+from functools import cached_property
 
 from .codes import EVEN, KnotoidCode, OPEN, OVER, classify_crossings
 
@@ -459,7 +459,6 @@ class CompiledCode:
         return [(1, -1) if s > 0 else (-1, 1) for s in self.cross_sign]
 
 
-@cache
 def _monomial_places(n: int, legs: int) -> tuple[tuple[int, ...], ...]:
     """The place values of K_i and L_i in ``frontier``'s packed keys (index 0
     adds 0), above the (circles, sigma) span, and the radix of each digit,

@@ -177,9 +177,9 @@ def test_a_held_form_stays_small():
     # Flat plan steps and one parity string per crossing keep a 16-crossing
     # code's form near 16 KB; steps of nested join tuples kept about 40, and
     # a list of ``CrossingInfo`` objects about 19.
-    # Tables kept process-wide on first use (d-power rows, parity tokens,
-    # monomial places) would be charged to the first code measured, so one
-    # throwaway code of the same size fills them first.
+    # Tables kept process-wide on first use (d-power rows, parity tokens)
+    # would be charged to the first code measured, so one throwaway code of
+    # the same size fills them first.
     invariant_suite(random_code(random.Random(1800), 16))
     rng = random.Random(1801)
     sizes = [held_kb(random_code(rng, 16)) for _ in range(6)]

@@ -1,7 +1,6 @@
 """Score a fixed list of one-line source mutations against the fast tests.
 
-    python3 tools/mutants.py            # every mutant
-    python3 tools/mutants.py -k radix   # those whose name contains "radix"
+    python3 tools/mutants.py
 
 Each mutant replaces one line of ``src/knotoids`` (found by its exact text,
 which must occur once) in a temporary copy of ``src/``, ``tests/`` and
@@ -17,7 +16,6 @@ Standard library only; not part of the tier-1 suite (about 15 s a mutant).
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -110,21 +108,17 @@ def killed(mutant) -> bool:
         return subprocess.run(argv, cwd=tree, env=env, capture_output=True).returncode != 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("-k", default="", help="run only mutants whose name contains this")
-    args = parser.parse_args(argv)
+def main() -> int:
     if killed(None):
         print("the unmutated tree fails its tests; no score")
         return 1
-    chosen = [m for m in MUTANTS if args.k in m[0]]
     survivors = []
-    for mutant in chosen:
+    for mutant in MUTANTS:
         dead = killed(mutant)
         print(f"{'killed  ' if dead else 'SURVIVED'} {mutant[0]}", flush=True)
         if not dead:
             survivors.append(mutant[0])
-    print(f"{len(chosen) - len(survivors)}/{len(chosen)} killed")
+    print(f"{len(MUTANTS) - len(survivors)}/{len(MUTANTS)} killed")
     return 1 if survivors else 0
 
 

@@ -30,6 +30,9 @@ once per code for the deletions and the slides.  R3 sites are found through
 a label index: the three pairs of a triangle carry the label sets {x,y},
 {y,z} and {x,z}, one over-over, one under-under and one mixed, so only such
 triples reach the pattern check.
+
+``apply_move`` accepts a deletion or an R3 slide exactly when
+``applicable_moves`` lists it, by listing the adjacent pairs at its sites.
 """
 
 from __future__ import annotations
@@ -67,29 +70,34 @@ def _fresh_labels(code: KnotoidCode, count: int) -> list[str]:
     return list(itertools.islice(fresh, count))
 
 
+def _pair_count(comp: ComponentCode) -> int:
+    """How many adjacent pairs ``comp`` has: they wrap around on a loop and
+    never cross the ends of an open component."""
+    k = len(comp.passages)
+    return k if comp.kind == LOOP and k > 1 else max(k - 1, 0)
+
+
 def _adjacent_pairs(comp: ComponentCode):
     """(pos, first, second) for every adjacent pair, cyclic on loops."""
     k = len(comp.passages)
-    if k < 2:
-        return
-    last = k if comp.kind == LOOP else k - 1
-    for pos in range(last):
+    for pos in range(_pair_count(comp)):
         yield pos, comp.passages[pos], comp.passages[(pos + 1) % k]
 
 
-def _insert(passages: tuple, pos: int, pair) -> tuple:
-    return passages[:pos] + tuple(pair) + passages[pos:]
+def _component(code: KnotoidCode, ci: int) -> ComponentCode:
+    if not 0 <= ci < len(code.components):
+        raise InapplicableMove(f"no component {ci}")
+    return code.components[ci]
 
 
-def _delete_positions(passages: tuple, positions) -> tuple:
-    drop = set(positions)
-    return tuple(p for i, p in enumerate(passages) if i not in drop)
-
-
-def _with_component(code: KnotoidCode, ci: int, passages: tuple) -> KnotoidCode:
-    comps = list(code.components)
-    comps[ci] = ComponentCode(comps[ci].kind, passages)
-    return KnotoidCode(tuple(comps), code.meta)
+def _pair_at(code: KnotoidCode, site) -> tuple:
+    """The labelled pair at ``site``, as ``_labelled_pairs`` lists it."""
+    ci, pos = site
+    comp = _component(code, ci)
+    if not 0 <= pos < _pair_count(comp):
+        raise InapplicableMove(f"no adjacent pair at {site}")
+    p, q = comp.passages[pos], comp.passages[(pos + 1) % len(comp.passages)]
+    return site, p, q, frozenset((p.label, q.label))
 
 
 class _MoveTable(NamedTuple):
@@ -247,104 +255,55 @@ def _valid_r3(code: KnotoidCode, sites) -> bool:
 
 
 def apply_move(code: KnotoidCode, move: MoveSpec) -> KnotoidCode:
-    """Rewrite the code by one move; raises InapplicableMove on a bad site."""
+    """Rewrite the code by one move; raises InapplicableMove on a bad site.
+
+    A deletion or an R3 slide is accepted exactly when ``applicable_moves``
+    lists it: it must be the move that ``_deletion_moves`` or ``_r3_moves``
+    lists on the adjacent pairs at its own sites.  An insertion needs its
+    sites in range, the two sites of an R2 insertion in one component in
+    order, and two distinct sites for a parallel one.
+    """
+    edits: dict[int, list] = {}  # each touched component's passages, edited in place
+    inserts = []  # (site, pair), later site first so the earlier keeps its position
     if move.kind == R1_INSERT:
         ci, pos, over_first, sign = move.params
-        comp = code.components[ci]
-        if not (0 <= pos <= len(comp.passages)):
-            raise InapplicableMove("R1 position out of range")
         (label,) = _fresh_labels(code, 1)
-        pair = (
-            Passage(OVER if over_first else UNDER, label, sign),
-            Passage(UNDER if over_first else OVER, label, sign),
-        )
-        out = _with_component(code, ci, _insert(comp.passages, pos, pair))
-    elif move.kind == R1_DELETE:
-        ((ci, pos),) = move.params
-        comp = code.components[ci]
-        k = len(comp.passages)
-        if k < 2 or pos >= k:
-            raise InapplicableMove("R1 deletion out of range")
-        p, q = comp.passages[pos], comp.passages[(pos + 1) % k]
-        if p.label != q.label:
-            raise InapplicableMove("R1 deletion needs an adjacent equal-label pair")
-        out = _with_component(
-            code, ci, _delete_positions(comp.passages, (pos, (pos + 1) % k))
-        )
+        first, second = (OVER, UNDER) if over_first else (UNDER, OVER)
+        inserts = [((ci, pos), (Passage(first, label, sign), Passage(second, label, sign)))]
     elif move.kind == R2_INSERT:
         (c1, i1), (c2, i2), over_site, parallel, sign = move.params
         if parallel and (c1, i1) == (c2, i2):
             raise InapplicableMove("parallel R2 needs two distinct sites")
+        if c1 == c2 and i1 > i2:
+            raise InapplicableMove("R2 sites out of order")
         x, y = _fresh_labels(code, 2)
         over_pair = (Passage(OVER, x, sign), Passage(OVER, y, -sign))
-        under_pair = (
-            (Passage(UNDER, x, sign), Passage(UNDER, y, -sign))
-            if parallel
-            else (Passage(UNDER, y, -sign), Passage(UNDER, x, sign))
-        )
+        under_pair = (Passage(UNDER, x, sign), Passage(UNDER, y, -sign))
+        if not parallel:
+            under_pair = under_pair[::-1]
         pair1, pair2 = (over_pair, under_pair) if over_site == 1 else (under_pair, over_pair)
-        if c1 == c2:
-            comp = code.components[c1]
-            if not (0 <= i1 <= i2 <= len(comp.passages)):
-                raise InapplicableMove("R2 positions out of range")
-            passages = _insert(comp.passages, i2, pair2)
-            passages = _insert(passages, i1, pair1)
-            out = _with_component(code, c1, passages)
-        else:
-            comp1, comp2 = code.components[c1], code.components[c2]
-            if not (0 <= i1 <= len(comp1.passages) and 0 <= i2 <= len(comp2.passages)):
-                raise InapplicableMove("R2 positions out of range")
-            out = _with_component(code, c1, _insert(comp1.passages, i1, pair1))
-            out = _with_component(out, c2, _insert(out.components[c2].passages, i2, pair2))
-    elif move.kind == R2_DELETE:
-        (c1, i1), (c2, i2) = move.params
-        comp1, comp2 = code.components[c1], code.components[c2]
-        k1, k2 = len(comp1.passages), len(comp2.passages)
-        if k1 < 2 or k2 < 2 or i1 >= k1 or i2 >= k2:
-            raise InapplicableMove("R2 deletion out of range")
-        o1, o2 = comp1.passages[i1], comp1.passages[(i1 + 1) % k1]
-        u1, u2 = comp2.passages[i2], comp2.passages[(i2 + 1) % k2]
-        if not (
-            o1.role == o2.role == OVER
-            and u1.role == u2.role == UNDER
-            and {o1.label, o2.label} == {u1.label, u2.label}
-            and o1.label != o2.label
-            and o1.sign == -o2.sign
-            and (u1.label, u2.label) in ((o1.label, o2.label), (o2.label, o1.label))
-        ):
-            raise InapplicableMove("R2 deletion pattern mismatch")
-        if c1 == c2:
-            positions = {i1, (i1 + 1) % k1, i2, (i2 + 1) % k2}
-            if len(positions) != 4:
-                raise InapplicableMove("R2 deletion sites overlap")
-            out = _with_component(code, c1, _delete_positions(comp1.passages, positions))
-        else:
-            out = _with_component(
-                code, c1, _delete_positions(comp1.passages, (i1, (i1 + 1) % k1))
-            )
-            out = _with_component(
-                out, c2, _delete_positions(out.components[c2].passages, (i2, (i2 + 1) % k2))
-            )
-    elif move.kind == R3_SLIDE:
-        sites = move.params
-        detailed = []
-        for ci, pos in sites:
-            comp = code.components[ci]
-            k = len(comp.passages)
-            if k < 2 or pos >= k:
-                raise InapplicableMove("R3 site out of range")
-            detailed.append(((ci, pos), comp.passages[pos], comp.passages[(pos + 1) % k]))
-        if not _valid_r3(code, detailed):
-            raise InapplicableMove("R3 triangle pattern mismatch")
-        out = code
-        for ci, pos in sites:
-            comp = out.components[ci]
-            k = len(comp.passages)
-            passages = list(comp.passages)
-            passages[pos], passages[(pos + 1) % k] = passages[(pos + 1) % k], passages[pos]
-            out = _with_component(out, ci, tuple(passages))
+        inserts = [((c2, i2), pair2), ((c1, i1), pair1)]
+    elif move.kind in (R1_DELETE, R2_DELETE, R3_SLIDE):
+        pairs = [_pair_at(code, site) for site in sorted(move.params)]
+        listed = _r3_moves(code, pairs) if move.kind == R3_SLIDE else _deletion_moves(pairs)
+        if move not in listed:
+            raise InapplicableMove(f"no {move.kind} at {move.params}")
+        for (ci, pos), p, q, _ in pairs:
+            passages = edits.setdefault(ci, list(code.components[ci].passages))
+            nxt = (pos + 1) % len(passages)
+            # A slide swaps each pair; a deletion blanks it and drops the blanks.
+            passages[pos], passages[nxt] = (q, p) if move.kind == R3_SLIDE else (None, None)
     else:
         raise InapplicableMove(f"unknown move kind {move.kind!r}")
+    for (ci, pos), pair in inserts:
+        passages = edits.setdefault(ci, list(_component(code, ci).passages))
+        if not 0 <= pos <= len(passages):
+            raise InapplicableMove(f"no insertion site {(ci, pos)}")
+        passages[pos:pos] = pair
+    comps = list(code.components)
+    for ci, passages in edits.items():
+        comps[ci] = ComponentCode(comps[ci].kind, tuple(filter(None, passages)))
+    out = KnotoidCode(tuple(comps), code.meta)
     validate(out)
     return out
 

@@ -5,6 +5,9 @@ boundary at every step: its row of ends, a slot per end and the stub
 flags.  ``CompiledCode._plan`` carries them from step to step and must
 build equal plans.
 
+``reorder`` gives a compiled code the greedy contraction order from another
+first crossing; a state sum must not depend on the order.
+
 ``parity_reference`` is the parity bracket summed one graph state at a
 time over the 2^e states of ``parity_states``, as its definition reads;
 ``parity_bracket`` reads one state per final pairing of the frontier.
@@ -51,6 +54,49 @@ def reference_plan(compiled, smooth=None):
     typecode = "b" if max([2 * compiled.n] + [len(step[1]) for step in steps]) < 128 else "q"
     steps = tuple((array(typecode, tail).tobytes(), *rest) for tail, *rest in steps)
     return steps, boundary, typecode
+
+
+def greedy_order(compiled, first, smooth=None) -> list[int]:
+    """The greedy pass of ``contraction_order`` from ``first`` alone: each
+    step takes the crossing that adds the fewest boundary ends, ties to the
+    lowest index."""
+    crossings = list(range(compiled.n)) if smooth is None else sorted(smooth)
+    delta = {k: 0 for k in crossings}
+    links: dict[int, list[int]] = {k: [] for k in crossings}
+    for k in crossings:
+        a, b = compiled.cross_over[k], compiled.cross_under[k]
+        for e in (2 * a, 2 * a + 1, 2 * b, 2 * b + 1):
+            far = compiled.arc_end(e)
+            far = compiled.pass_crossing[far >> 1] if far >= 0 else -1
+            if far != k:
+                delta[k] += 1
+                if far in links:
+                    links[k].append(far)
+    order, k = [], first
+    while True:
+        order.append(k)
+        del delta[k]
+        if not delta:
+            return order
+        for f in links[k]:
+            if f in delta:
+                delta[f] -= 2
+        k = min(delta, key=lambda j: (delta[j], j))
+
+
+def reorder(compiled, pick: int):
+    """Set on ``compiled``, before it builds a plan, the greedy order from
+    the ``pick``-th of the crossings other than the one its own order
+    starts from; a set of one crossing keeps its order."""
+    own = compiled.contraction_order
+
+    def order(smooth=None):
+        default = own(smooth)
+        others = sorted(default[1:])
+        return greedy_order(compiled, others[pick], smooth) if others else default
+
+    compiled.contraction_order = order
+    return compiled
 
 
 def segments(state) -> int:

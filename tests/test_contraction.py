@@ -1,4 +1,4 @@
-"""The frontier-contraction engine against the Gray-code scan and the oracle."""
+"""The frontier-contraction engine against the per-state scan and the oracle."""
 
 import hashlib
 import json
@@ -18,8 +18,8 @@ from knotoids.codes import (
     spiral,
 )
 from knotoids.smoothing import CompiledCode
-from helpers import random_code, random_multi_code
-from reference import reference_plan
+from helpers import random_code, random_multi_code, relabeled
+from reference import reference_plan, reorder
 
 
 def scan_counts(compiled: CompiledCode, want_words: bool) -> dict:
@@ -165,6 +165,45 @@ def test_cut_passes_keep_the_uncut_order():
         assert compiled.contraction_order(even) == uncut_order(compiled, even), code
         subsets += 0 < len(even) < compiled.n
     assert subsets >= 60
+
+
+def even_pairings(compiled: CompiledCode) -> dict:
+    """The parity bracket's even-set frontier, each final pairing read as
+    the set of its pairs of boundary ends (a finished segment's stub pairs
+    with itself)."""
+    even = compiled.even
+    row = compiled.boundary(even)
+    return {
+        frozenset(frozenset((row[i], row[mates[2 * i] >> 1])) for i in range(len(row))): counts
+        for mates, counts in compiled.frontier(False, even)
+    }
+
+
+def state_sums(compiled: CompiledCode) -> tuple:
+    return compiled.contract(False), compiled.contract(True), even_pairings(compiled)
+
+
+def test_state_sums_do_not_depend_on_the_order():
+    """The bracket's and the arrow's contraction and the parity bracket's
+    even-set frontier give the same values under the greedy orders from two
+    other first crossings, and on the code with its crossings relabeled."""
+    rng = random.Random(51)
+    codes = [random_code(rng, n, loops=i % 2) for i, n in enumerate((14, 16, 18, 20))]
+    for n in (14, 16):
+        passages = random_code(rng, n).components[0].passages
+        cut = rng.randrange(1, 2 * n)
+        codes.append(KnotoidCode((ComponentCode(OPEN, passages[:cut]),
+                                  ComponentCode(OPEN, passages[cut:]))))
+    codes.append(random_multi_code(rng, 14, empty=True))
+    assert any(not comp.passages for comp in codes[-1].components)
+    for code in codes:
+        own = CompiledCode(code)
+        expected = state_sums(own)
+        for pick in (0, -1):
+            other = reorder(CompiledCode(code), pick)
+            assert state_sums(other) == expected, (code, pick)
+            assert other._plan(None) != own._plan(None)
+        assert state_sums(CompiledCode(relabeled(code, rng))) == expected, code
 
 
 def plan_families():

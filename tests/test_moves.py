@@ -1,6 +1,7 @@
 """Move engine: applicability patterns, application, inverses, walks."""
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -153,6 +154,85 @@ def test_apply_rejects_bad_sites():
         apply_move(code, MoveSpec(R3_SLIDE, ((0, 0), (0, 1), (0, 2))))
     with pytest.raises(InapplicableMove):
         apply_move(code, MoveSpec(R2_INSERT, ((0, 1), (0, 1), 1, True, 1)))
+
+
+# The head and tail passages of an open strand are not adjacent, so deleting
+# them together is no knotoid move; it would change the normalized arrow.
+ENDS_CODE = "open: U1- O2- U2- O3+ U4- U3+ O4- O1-"
+ENDS_R1 = MoveSpec(R1_DELETE, ((0, 7),))
+
+
+def _applicability_codes():
+    """One-leg codes with loops, codes with several legs (half with an empty
+    component) and loop-only closures, of 0-5 crossings, each with the code
+    that a walk capped at 5 crossings reaches from it, and codes with an R3
+    site."""
+    rng = random.Random(2121)
+    starts = [random_code(rng, rng.randint(0, 5), loops=rng.choice((0, 1, 2))) for _ in range(8)]
+    starts += [random_multi_code(rng, rng.randint(0, 5), empty=i % 2 == 0) for i in range(8)]
+    starts += [virtual_closure(random_code(rng, rng.randint(0, 5))) for _ in range(4)]
+    codes = [parse(ENDS_CODE), parse("open:")]
+    for code in starts:
+        codes += [code, random_walk(code, steps=8, seed=rng.randrange(1 << 30), max_crossings=5)[-1]]
+    # R3 sites are rare, so codes with one are drawn until there are six.
+    slides = []
+    while len(slides) < 6:
+        code = (random_code(rng, rng.randint(3, 5), loops=rng.choice((0, 1)))
+                if len(slides) % 2 else random_multi_code(rng, rng.randint(3, 5)))
+        if _r3_moves(code, _labelled_pairs(code)):
+            slides.append(code)
+    return codes + slides
+
+
+def _site_tuples(code):
+    """Every (ci, pos) from one below to one above each range, out-of-range
+    components included."""
+    comps = code.components
+    return [
+        (ci, pos)
+        for ci in range(-1, len(comps) + 1)
+        for pos in range(-1, (len(comps[ci].passages) if 0 <= ci < len(comps) else 0) + 1)
+    ]
+
+
+def test_apply_accepts_exactly_the_listed_deletions_and_slides():
+    """An R1/R2 deletion or an R3 slide at any site tuple, in range or not,
+    applies exactly when ``applicable_moves`` lists it, and otherwise raises
+    InapplicableMove; so does an insertion at a site out of range."""
+    assert ENDS_R1 not in applicable_moves(parse(ENDS_CODE))
+    with pytest.raises(InapplicableMove):
+        apply_move(parse(ENDS_CODE), ENDS_R1)
+    codes = _applicability_codes()
+    assert any(not comp.passages for c in codes[2:] for comp in c.components)
+    applied = {R1_DELETE: 0, R2_DELETE: 0, R3_SLIDE: 0}
+    for code in codes:
+        listed = {m for m in applicable_moves(code) if m.kind in applied}
+        sites = _site_tuples(code)
+        tried = itertools.chain(
+            (MoveSpec(R1_DELETE, (site,)) for site in sites),
+            (MoveSpec(R2_DELETE, pair) for pair in itertools.product(sites, repeat=2)),
+            (MoveSpec(R3_SLIDE, triple) for triple in itertools.permutations(sites, 3)),
+        )
+        for move in tried:
+            if move in listed:
+                validate(apply_move(code, move))
+                applied[move.kind] += 1
+                listed.discard(move)
+            else:
+                with pytest.raises(InapplicableMove):
+                    apply_move(code, move)
+        assert not listed, serialize(code)
+        comps = code.components
+        for ci, pos in sites:
+            if 0 <= ci < len(comps) and 0 <= pos <= len(comps[ci].passages):
+                continue
+            with pytest.raises(InapplicableMove):
+                apply_move(code, MoveSpec(R1_INSERT, (ci, pos, True, 1)))
+            for other in ((0, 0), (len(comps) - 1, len(comps[-1].passages))):
+                for s1, s2 in ((other, (ci, pos)), ((ci, pos), other)):
+                    with pytest.raises(InapplicableMove):
+                        apply_move(code, MoveSpec(R2_INSERT, (s1, s2, 1, False, 1)))
+    assert min(applied.values()) >= 10, applied
 
 
 def test_walk_deterministic_and_valid():

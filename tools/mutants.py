@@ -7,11 +7,11 @@ which must occur once) in a temporary copy of ``src/``, ``tests/`` and
 ``pyproject.toml``, then runs
 
     python3 -m pytest -x -q -p no:cacheprovider tests/test_contraction.py \\
-        tests/test_exhaustive.py tests/test_arrow.py
+        tests/test_exhaustive.py tests/test_arrow.py tests/test_moves.py
 
 in that copy.  A mutant is killed when the tests fail (or error), and
 survives when they pass.  The unmutated copy runs first and must pass.
-Standard library only; not part of the tier-1 suite (about 15 s a mutant).
+Standard library only; not part of the tier-1 suite (about 25 s a mutant).
 """
 
 from __future__ import annotations
@@ -24,7 +24,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TESTS = ("tests/test_contraction.py", "tests/test_exhaustive.py", "tests/test_arrow.py")
+TESTS = (
+    "tests/test_contraction.py", "tests/test_exhaustive.py", "tests/test_arrow.py",
+    "tests/test_moves.py",
+)
 
 # (name, file under src/knotoids, line text, mutated text); each text is
 # stripped of its indentation, which the mutation keeps.
@@ -80,6 +83,36 @@ MUTANTS = (
     ("d-power rows without their sign", "laurent.py",
      "sign = -1 if j & 1 else 1  # d**j = (-1)**j * sum of C(j, i) A**(2j - 4i)",
      "sign = 1"),
+    ("open leg's pairs wrap around", "moves.py",
+     "return k if comp.kind == LOOP and k > 1 else max(k - 1, 0)",
+     "return k if k > 1 else max(k - 1, 0)"),
+    ("site check admits negative positions", "moves.py",
+     "if not 0 <= pos < _pair_count(comp):",
+     "if not pos < _pair_count(comp):"),
+    ("component check admits negative indices", "moves.py",
+     "if not 0 <= ci < len(code.components):",
+     "if not ci < len(code.components):"),
+    ("deletion or slide applied unlisted", "moves.py",
+     "if move not in listed:",
+     "if False:"),
+    ("R2 deletion without its sign test", "moves.py",
+     "elif p.role == q.role == OVER and p.sign == -q.sign:",
+     "elif p.role == q.role == OVER:"),
+    ("R2 insertion sites in the other order", "moves.py",
+     "inserts = [((c2, i2), pair2), ((c1, i1), pair1)]",
+     "inserts = [((c1, i1), pair1), ((c2, i2), pair2)]"),
+    ("antiparallel under pair kept in order", "moves.py",
+     "under_pair = under_pair[::-1]",
+     "under_pair = under_pair"),
+    ("slide leaves its pairs in place", "moves.py",
+     "passages[pos], passages[nxt] = (q, p) if move.kind == R3_SLIDE else (None, None)",
+     "passages[pos], passages[nxt] = (p, q) if move.kind == R3_SLIDE else (None, None)"),
+    ("R1 insert sign flipped in move_at", "moves.py",
+     "return MoveSpec(R1_INSERT, (*sites[site], r < 2, -1 if r & 1 else 1))",
+     "return MoveSpec(R1_INSERT, (*sites[site], r < 2, 1 if r & 1 else -1))"),
+    ("R2 insert parallel bit read from the sign bit", "moves.py",
+     "b, over_site, parallel = a + 1 + b, 1 + (k >> 2), bool(k & 2)",
+     "b, over_site, parallel = a + 1 + b, 1 + (k >> 2), bool(k & 1)"),
 )
 
 

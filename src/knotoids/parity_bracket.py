@@ -16,17 +16,21 @@ the long segment alike, so that all-even inputs reproduce the ordinary
 bracket exactly.
 
 The state sum is a projection of ``CompiledCode.frontier``: only the even
-crossings are smoothed, so the four ports of every node stay boundary
-ends, and each distinct final pairing of node ports and stubs is exactly
-one graph state.  It is read straight off the final mate array, with the
-boundary's positions mapped to ports once per call, then reduced and
-given its canonical form once, and weighted by the counts of all the
-states that share it.  A graph state numbers the ports of its i-th node
-``4 * i + slot`` (see ``GraphState``), so bigon search, splicing and
-traces move between ports by arithmetic alone.
+crossings are smoothed, and the four ports of every node hold the first
+boundary positions, port ``4 * i + slot`` of the i-th node at that
+position, as a graph state numbers them (see ``GraphState``), so bigon
+search, splicing and traces move between ports by arithmetic alone.  The
+frontier splices each reducible bigon as soon as a join makes its edge
+(``smoothing._splice_bigons``, the same rotation test as ``_find_bigon``),
+so each distinct final pairing is one reduced graph state.  It is read
+straight off the first positions of the final mate array by
+``_graph_state``, given its canonical form once, and weighted by the
+counts of all the states that share it; only the closed form closes its
+stub paths and reduces again with ``reduce_graph``.
 ``parity_states`` remains as an independent reference for the tests: it
 glues each of the 2^e smoothings with ``CompiledCode.glue_for_mask`` and
-follows its strands from node port to node port in ``_build_state``.
+follows its strands from node port to node port in ``_build_state``; each
+of its states is reduced on its own with ``reduce_graph``.
 
 Scope of move invariance: on single-component diagrams every triangle-move
 configuration carries an even number of nodes and the normalized value is
@@ -127,20 +131,6 @@ class FlatParityValue:
         return not self.graphical
 
 
-def _ports(compiled: CompiledCode, nodes: list[int]) -> dict[int, int]:
-    """Map each arc end at the crossings ``nodes`` to its port ``4 * i + slot``.
-
-    ``i`` is the crossing's place in ``nodes`` and ``slot`` its
-    counterclockwise rotation slot (``CompiledCode.rotation``); ends across
-    the crossing get opposite slots.
-    """
-    ports = {}
-    for i, k in enumerate(nodes):
-        for slot, end in enumerate(compiled.rotation(k)):
-            ports[end] = 4 * i + slot
-    return ports
-
-
 def _build_state(compiled, node_set, even_list, mask) -> GraphState:
     """Glue the even crossings of one mask and extract the edge structure.
 
@@ -154,7 +144,13 @@ def _build_state(compiled, node_set, even_list, mask) -> GraphState:
     sigma_tab = compiled.sigma_table()
     sigma = sum(sigma_tab[k][bit] for bit, k in zip(bits, even_list))
 
-    ports = _ports(compiled, sorted(node_set))
+    # Each arc end at a node maps to its port 4 * i + slot: the crossing's
+    # place among the nodes and its rotation slot.
+    ports = {
+        end: 4 * i + slot
+        for i, k in enumerate(sorted(node_set))
+        for slot, end in enumerate(compiled.rotation(k))
+    }
     succ, pred = compiled.succ, compiled.pred
     partner: dict[int, int] = {}
     consumed = bytearray(2 * compiled.P)
@@ -477,6 +473,26 @@ def _close_stub_paths(state: GraphState) -> None:
         partner[last_port] = first_port
 
 
+def _graph_state(mates, row: list[int], ports: int) -> GraphState:
+    """The graph state of one final pairing of the even-set frontier.
+
+    The first ``ports`` positions of the final boundary ``row`` are the
+    node ports, port ``p`` at position ``p``, and the rest are stubs.  The
+    frontier has spliced every reducible bigon: a spliced node's ports pair
+    with themselves and are left out, as are the stubs of finished
+    segments, so ``partner`` holds the live ports and the stubs they reach.
+    """
+    partner: dict[int, int] = {}
+    for p, q in enumerate(mates[: 2 * ports : 2]):
+        q >>= 1
+        if q >= ports:
+            partner[p] = row[q]
+            partner[row[q]] = p
+        elif q != p:
+            partner[p] = q
+    return GraphState({p >> 2 for p in range(0, ports, 4) if p in partner}, partner, 0, 0)
+
+
 def parity_bracket(
     code: KnotoidCode, state_limit: int = DEFAULT_STATE_LIMIT, closed: bool = False
 ) -> ParityBracketValue:
@@ -494,47 +510,26 @@ def parity_bracket(
         raise LimitExceeded(
             f"{len(even)} even crossings exceed the state limit {state_limit}"
         )
-    nodes = sorted(set(range(compiled.n)).difference(even))
-    ports = _ports(compiled, nodes)
-    # Arcs that meet no even crossing join the same ends in every state:
-    # node port to node port or stub, and the stubs of an empty leg.
-    direct: dict[int, int] = {}
-    for end, port in ports.items():
-        far = compiled.arc_end(end)
-        if far < 0 or far in ports:
-            far = ports.get(far, far)
-            direct[port] = far
-            direct[far] = port
-    for ci in compiled.open_comps:
-        if compiled.first_target[ci] < 0:
-            direct[-(2 * ci + 1)] = -(2 * ci + 2)
-            direct[-(2 * ci + 2)] = -(2 * ci + 1)
-
-    # Each final boundary end is a node port or a stub: slot 2 * i names row[i].
-    row = [ports.get(end, end) for end in compiled.boundary(even)]
-    by_slot = [port for port in row for _ in (0, 1)]
-    stubs = [(s, 2 * i) for i, s in enumerate(row) if s < 0]
+    # Every leg and free circle counts as a component up front; a leg whose
+    # stubs reach a live node belongs to that node's graph instead.
+    row = compiled.boundary(even)
+    ports = 4 * (compiled.n - len(even))
+    fixed = compiled.free_circles + len(compiled.open_comps)
     by_key: dict[str, dict[tuple[int, int], int]] = {}
-    for mates, counts in compiled.frontier(False, even):
-        partner = dict(direct)
-        partner.update(zip(row, map(by_slot.__getitem__, mates[::2])))
-        # Stubs of finished segments pair with themselves; any pairing of them
-        # counts the same node-free segments.
-        finished = [s for s, i in stubs if mates[i] == i]
-        for s, t in zip(finished[::2], finished[1::2]):
-            partner[s] = t
-            partner[t] = s
-        state = GraphState(set(range(len(nodes))), partner, compiled.free_circles, 0)
-        state = reduce_graph(state)
-        if closed:
-            _close_stub_paths(state)
-            state = reduce_graph(state)
-        encodings = canonical_graph(state)
-        segments = sum(1 for a, b in state.partner.items() if a < 0 and b < 0 and a < b)
-        comps = state.circles + segments + len(encodings)
+    for mates, counts in compiled.frontier(False, even, fixed):
+        state = _graph_state(mates, row, ports)
+        extra = 0
+        encodings = []
+        if state.nodes:
+            stubs = sum(1 for p in state.partner if p < 0)
+            if closed:
+                _close_stub_paths(state)
+                state = reduce_graph(state)
+            encodings = canonical_graph(state)
+            extra = state.circles + len(encodings) - stubs // 2
         sums = by_key.setdefault(" | ".join(encodings), {})
         for (sigma, circles, _, _), count in counts.items():
-            key = (sigma, comps + circles)
+            key = (sigma, circles + extra)
             sums[key] = sums.get(key, 0) + count
     plain = state_sum(by_key.pop("", {}))
     graphical = {key: state_sum(sums) for key, sums in by_key.items()}

@@ -26,12 +26,16 @@ joins per choice, with no word arithmetic in a run without words, a few slot
 moves and a truncation; its counts pass to its successors by reference,
 under an offset that adds the step's sigma, circles, K_i and L_j.  The
 bracket and the arrow smooth every crossing and read the aggregated counts
-through ``contract``; the parity bracket smooths only the even crossings, so
-the ports of the other crossings stay boundary ends to the end, and it reads
-one graph state straight off each final mate array, against the final
-``boundary``.  A code keeps one compiled form (``compiled_form``) with each
-crossing's parity class and one plan per smoothed set, so all invariants of
-a code share one compile, and the bracket and the arrow one plan.
+through ``contract``.  The parity bracket smooths only the even crossings;
+the ports of the other crossings (its nodes) hold the first boundary
+positions for the whole run, and a join that makes an edge between two of
+them splices the reducible bigon it bounds, if any, in place
+(``_splice_bigons``), so partial states that reduce alike merge.  It reads
+one reduced graph state straight off each final mate array, against the
+final ``boundary``.  A code keeps one compiled form (``compiled_form``) with
+each crossing's parity class and one plan per smoothed set, so all
+invariants of a code share one compile, and the bracket and the arrow one
+plan.
 
 Reduced cusp words alternate L and R, so an int stands for one: its length,
 negated when the word starts with L; 0 is the empty word.  These are the
@@ -276,20 +280,27 @@ class CompiledCode:
         closed circles and K/L indices so far.  Partial states that agree
         on all of these are merged into one count.  A pending arc joining
         two stubs is a finished segment: both stubs then pair with
-        themselves.  The ends of crossings outside ``smooth`` are never
-        retired, so they stay on the boundary to the end.
+        themselves.  The ports of crossings outside ``smooth`` (nodes) hold
+        the first boundary positions to the end, port ``p`` at position
+        ``p``.  A join that makes an edge between two of them runs the
+        bigon test, and a reducible bigon is spliced at once; its circles
+        count as closed circles, and the spliced nodes' ports pair with
+        themselves.  The reduced graph does not depend on the splice order,
+        so states that reduce alike merge, and no final pairing holds a
+        reducible bigon.
 
         Yields, per final pairing, its mate array over ``boundary(smooth)``,
-        undecoded (the stubs of a finished segment pair with themselves),
-        and its counts keyed by (sigma, ``fixed`` + closed circles, K
-        indices, L indices).  The index tuples are sorted, list each circle
-        ``K_i`` and segment ``L_i`` finished with cusps, and stay empty when
-        ``want_words`` is false; words are then 0.  A state's monomial is a
-        number in the digits of ``_monomial_places``, so a K_i or L_j adds a
-        place value as sigma and circles do, and each distinct monomial is
-        decoded once per call.  Counts are keyed one pairing at a time, so
-        they never sit in memory all at once.  Partial states are mate arrays
-        smoothed as ``_plan`` says; without words a join writes no word slot.
+        undecoded (the stubs of a finished segment and the ports of a
+        spliced node pair with themselves), and its counts keyed by (sigma,
+        ``fixed`` + closed circles, K indices, L indices).  The index tuples
+        are sorted, list each circle ``K_i`` and segment ``L_i`` finished
+        with cusps, and stay empty when ``want_words`` is false; words are
+        then 0.  A state's monomial is a number in the digits of
+        ``_monomial_places``, so a K_i or L_j adds a place value as sigma
+        and circles do, and each distinct monomial is decoded once per call.
+        Counts are keyed one pairing at a time, so they never sit in memory
+        all at once.  Partial states are mate arrays smoothed as ``_plan``
+        says; without words a join writes no word slot.
         """
         n = self.n
         # The frontier maps a packed mate array (bytes, not tuples: it is the
@@ -302,10 +313,12 @@ class CompiledCode:
         # a merge this step, may be added to in place.
         stride = 2 * n + 1  # sigma + n runs over 0..2n
         span = stride * (2 * n + 1)  # and closed circles over 0..2n
+        unit_k = unit_l = (0,)  # a run without words adds no K_i or L_j
         if want_words:
             unit_k, unit_l, radices = _monomial_places(n, len(self.open_comps))
-        steps, _, typecode = self._plan(smooth)
-        frontier: dict[bytes, tuple[int, dict[int, int]]] = {b"": (0, {n: 1})}
+        places = (stride, unit_k, unit_l)  # what a splice's circles and segments add
+        steps, _, typecode, start, circles, stop = self._plan(smooth)
+        frontier: dict[bytes, tuple[int, dict[int, int]]] = {start: (circles * stride, {n: 1})}
         for tail, stub, cut, so, sd, ia, oa, ib, ob, c, moves in steps:
             choices = ((so, ((ia, ob, 0), (ib, oa, 0))), (sd, ((ia, ib, c), (oa, ob, c))))
             merged: dict[bytes, tuple[int, dict[int, int]]] = {}
@@ -324,6 +337,8 @@ class CompiledCode:
                                 m[px], m[py] = px, py
                             else:
                                 m[px], m[py] = py, px
+                                if px < stop > py:  # an edge between two nodes
+                                    shift += _splice_bigons(m, stub, stop, px, py, places)
                         for old, new in moves:
                             m[m[old]] = new
                             m[new] = m[old]
@@ -349,6 +364,8 @@ class CompiledCode:
                                 m[px], m[py] = py, px
                                 m[px + 1] = w
                                 m[py + 1] = -w if w & 1 else w
+                                if px < stop > py:
+                                    shift += _splice_bigons(m, stub, stop, px, py, places)
                         for old, new in moves:  # kept slots beyond the cut fill retired ones
                             m[m[old]] = new
                             m[new], m[new + 1] = m[old], m[old + 1]
@@ -392,17 +409,30 @@ class CompiledCode:
 
     def _plan(self, smooth):
         """Per step of ``frontier``, what every state's smoothing reads; the
-        final boundary; and the mate arrays' typecode.  Built once per
-        smoothed set and kept in ``plans``, keyed by the sorted set, so a set
-        of every crossing shares the full set's plan.  A step's extended
-        boundary is the old one, then the ends of the arcs the crossing
-        opens.  Its plan is one flat tuple ``(tail, stub, cut, sigma_oriented,
-        sigma_disoriented, ia, oa, ib, ob, cusp, moves)``: the packed mate
-        slots (and zero words) of those fresh ends, per-slot stub flags, the
-        new key's slot count, the crossing's ``sigma_table`` row, the slots of
-        its over and under in and out ends, the cusp that a disoriented site
-        puts on each of its joins (read on the over strand's side), and the
-        (old, new) slot moves that fill the retired slots from beyond the cut.
+        final boundary; the mate arrays' typecode; the start key, the
+        circles its splices closed, and the slot that the node ports lie
+        below.  Built once per smoothed set and kept in ``plans``, keyed by
+        the sorted set, so a set of every crossing shares the full set's
+        plan.
+
+        The boundary starts with the ports of the unsmoothed crossings, port
+        ``4 * i + slot`` of the i-th at that position (``rotation`` gives
+        the slots), then the far ends of their arcs that are stubs or ends
+        of smoothed crossings.  The start key pairs each of those arcs, and
+        the reducible bigons among them are spliced in it once.  For the
+        full set the start key is empty.  Steps retire only ends of
+        smoothed crossings and move only ends beyond the cut, so the ports
+        never retire or move.
+
+        A step's extended boundary is the old one, then the ends of the arcs
+        the crossing opens.  Its plan is one flat tuple ``(tail, stub, cut,
+        sigma_oriented, sigma_disoriented, ia, oa, ib, ob, cusp, moves)``:
+        the packed mate slots (and zero words) of those fresh ends, per-slot
+        stub flags, the new key's slot count, the crossing's ``sigma_table``
+        row, the slots of its over and under in and out ends, the cusp that a
+        disoriented site puts on each of its joins (read on the over strand's
+        side), and the (old, new) slot moves that fill the retired slots from
+        beyond the cut.
 
         The boundary (``row``), each end's slot and the stub flags carry over
         from step to step, and a step touches only the ends it opens, retires
@@ -416,9 +446,29 @@ class CompiledCode:
         cross_over, cross_under = self.cross_over, self.cross_under
         sigma_tab = self.sigma_table()
         cusp = [1 if s == "R" else -1 for s in self.side_char]
-        row: list[int] = []  # the boundary's ends by position
-        slot: dict[int, int] = {}  # each boundary end's mate slot, twice its position
-        stub = bytearray()  # per slot, 1 when its end is a stub
+        # The ports of the unsmoothed crossings come first, port 4 * i + slot
+        # of the i-th at position 4 * i + slot, then the far ends of their
+        # arcs (stubs and ends of smoothed crossings), each arc paired in the
+        # start key, where words are 0.
+        smoothed = set(key)
+        row = [e for k in range(self.n) if k not in smoothed for e in self.rotation(k)]
+        slot = {e: 2 * i for i, e in enumerate(row)}  # an end's mate slot: twice its position
+        stop = 2 * len(row)  # the node ports' slots lie below
+        stub = bytearray(stop)  # per slot, 1 when its end is a stub
+        start = [0] * stop
+        for e in row[:]:
+            far = succ[e] if e & 1 else pred[e]
+            if far not in slot:
+                slot[far] = len(start)
+                row.append(far)
+                stub += b"\1\1" if far < 0 else b"\0\0"
+                start += (slot[e], 0)
+            start[slot[e]] = slot[far]
+        # Bigons among those arcs are spliced here, once.
+        circles = 0
+        for s in range(0, stop, 2):
+            if start[s] < stop:
+                circles += _splice_bigons(start, stub, stop, s, start[s], (1, (0,), (0,)))
         steps = []
         for k in self.contraction_order(key):
             a, b = cross_over[k], cross_under[k]
@@ -426,8 +476,9 @@ class CompiledCode:
             tail = []
             for e in ends:
                 # An end already on the boundary has its arc leading into the
-                # smoothed region; any other opens its arc, whose far end (a
-                # stub, or an end of an unsmoothed crossing or of k) is new.
+                # smoothed region or to a node port; any other opens its arc,
+                # whose far end (a stub, or an end of k or of a crossing
+                # smoothed later) is new.
                 if e not in slot:
                     far = succ[e] if e & 1 else pred[e]
                     i = 2 * len(row)
@@ -449,9 +500,12 @@ class CompiledCode:
             del row[cut >> 1 :], stub[cut:]
         # A reduced word on a pending arc has at most two cusps per crossing,
         # so slots (and words) fit signed bytes while both stay below 128.
-        typecode = "b" if max([2 * self.n] + [len(step[1]) for step in steps]) < 128 else "q"
+        widths = [2 * self.n, len(start)] + [len(step[1]) for step in steps]
+        typecode = "b" if max(widths) < 128 else "q"
         steps = tuple((array(typecode, tail).tobytes(), *rest) for tail, *rest in steps)
-        plan = self.plans[key] = (steps, row[:], typecode)  # a copy sheds spare capacity
+        start = array(typecode, start).tobytes()
+        # A copy of the row sheds spare capacity.
+        plan = self.plans[key] = (steps, row[:], typecode, start, circles, stop)
         return plan
 
     def sigma_table(self) -> list[tuple[int, int]]:
@@ -474,6 +528,54 @@ def _monomial_places(n: int, legs: int) -> tuple[tuple[int, ...], ...]:
             radices.append(radix)
             place *= radix
     return (*map(tuple, units), tuple(radices))
+
+
+def _splice_bigons(m, stub, stop: int, s: int, t: int, places) -> int:
+    """Splice the reducible bigon that the new edge between node slots ``s``
+    and ``t`` bounds, if any, and every bigon those splices make; return the
+    offset they add, read in ``places = (stride, unit_k, unit_l)``.
+
+    Port ``p`` of node ``p >> 2`` sits at slot ``2 * p``, so a node's four
+    slots are ``8 * node`` to ``8 * node + 6`` in rotation order, and the
+    slot across is ``slot ^ 4``.  An edge bounds a bigon with the edge from
+    the slot after one of its ends to the slot before the other, at two
+    distinct nodes (``parity_bracket._find_bigon``).  A splice joins the
+    outer ends of each straight strand through both nodes, with no cusp at
+    a node, so the joined word is the product of the strand's two pieces.
+    A strand that closes is a circle (``stride`` plus its K_i) and one that
+    joins two stubs a finished segment (its L_j); the eight slots of the
+    two nodes then pair with themselves.
+    """
+    stride, unit_k, unit_l = places
+    shift = 0
+    edges = [(s, t)]
+    while edges:
+        s, t = edges.pop()
+        if m[s] != t or s >> 3 == t >> 3:  # spliced since, or a curl
+            continue
+        if (m[s & ~7 | (s + 2) & 7] != t & ~7 | (t + 6) & 7
+                and m[t & ~7 | (t + 2) & 7] != s & ~7 | (s + 6) & 7):
+            continue
+        for x in (s & ~7, s & ~7 | 2, t & ~7, t & ~7 | 2):
+            a, b = m[x], m[x ^ 4]
+            if a == x ^ 4:
+                shift += stride + unit_k[abs(m[x + 1]) // 2]
+            else:
+                word, wb = m[a + 1], m[(x ^ 4) + 1]  # a towards x, then on from x ^ 4
+                word = word - wb if word & 1 else word + wb
+                if stub[a] and stub[b]:
+                    m[a], m[b] = a, b
+                    m[a + 1] = m[b + 1] = 0
+                    shift += unit_l[(abs(word) + 1) // 2]
+                else:
+                    m[a], m[b] = b, a
+                    m[a + 1] = word
+                    m[b + 1] = -word if word & 1 else word
+                    if a < stop > b:
+                        edges.append((a, b))
+            m[x], m[x ^ 4] = x, x ^ 4
+            m[x + 1] = m[(x ^ 4) + 1] = 0
+    return shift
 
 
 def trace_state(compiled: CompiledCode, glue: list[int], want_words: bool):

@@ -19,23 +19,41 @@ from knotoids.laurent import LaurentA, loop_value
 from knotoids.parity_bracket import (
     ParityBracketValue, _close_stub_paths, canonical_graph, parity_states, reduce_graph,
 )
+from knotoids.smoothing import _splice_bigons
 
 
 def reference_plan(compiled, smooth=None):
-    """The (steps, boundary, typecode) that ``compiled._plan(smooth)`` builds."""
+    """The (steps, boundary, typecode, start key, circles, node stop) that
+    ``compiled._plan(smooth)`` builds.  The start key's bigons are spliced
+    in the plan's order, by the kernel's own ``_splice_bigons``."""
     key = tuple(range(compiled.n) if smooth is None else sorted(set(smooth)))
     sigma_tab = compiled.sigma_table()
     cusp = [1 if s == "R" else -1 for s in compiled.side_char]
     done = [False] * compiled.n
-    boundary: list[int] = []
+    # The unsmoothed crossings' ports, then the far ends of their arcs.
+    boundary = [e for k in range(compiled.n) if k not in key for e in compiled.rotation(k)]
+    stop = 2 * len(boundary)
+    partner = {}
+    for e in boundary[:]:
+        partner[e] = far = compiled.arc_end(e)
+        partner[far] = e
+        if far not in boundary:
+            boundary.append(far)
+    slot = {e: 2 * i for i, e in enumerate(boundary)}
+    start = [v for e in boundary for v in (slot[partner[e]], 0)]
+    stub = bytes(e < 0 for e in boundary for _ in (0, 1))
+    circles = sum(
+        _splice_bigons(start, stub, stop, s, start[s], (1, (0,), (0,)))
+        for s in range(0, stop, 2) if start[s] < stop
+    )
     steps = []
     for k in compiled.contraction_order(key):
         a, b = compiled.cross_over[k], compiled.cross_under[k]
         ends = (2 * a, 2 * a + 1, 2 * b, 2 * b + 1)
-        fresh = {}  # arcs of k that do not yet lead into the smoothed region
+        fresh = {}  # arcs of k that lead to a stub or a smoothed crossing not yet done
         for e in ends:
             far = compiled.arc_end(e)
-            if far < 0 or not done[compiled.pass_crossing[far >> 1]]:
+            if e not in boundary and (far < 0 or not done[compiled.pass_crossing[far >> 1]]):
                 fresh[e] = far
                 fresh[far] = e
         done[k] = True
@@ -51,9 +69,10 @@ def reference_plan(compiled, smooth=None):
             row[new >> 1] = row[old >> 1]
         steps.append((tail, stub, cut, *sigma_tab[k], *slots, cusp[a], tuple(zip(kept, holes))))
         boundary = row[: cut >> 1]
-    typecode = "b" if max([2 * compiled.n] + [len(step[1]) for step in steps]) < 128 else "q"
+    widths = [2 * compiled.n, len(start)] + [len(step[1]) for step in steps]
+    typecode = "b" if max(widths) < 128 else "q"
     steps = tuple((array(typecode, tail).tobytes(), *rest) for tail, *rest in steps)
-    return steps, boundary, typecode
+    return steps, boundary, typecode, array(typecode, start).tobytes(), circles, stop
 
 
 def greedy_order(compiled, first, smooth=None) -> list[int]:

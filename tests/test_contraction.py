@@ -1,5 +1,6 @@
 """The frontier-contraction engine against the per-state scan and the oracle."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -17,6 +18,7 @@ from knotoids.codes import (
     parse,
     spiral,
 )
+from knotoids.parity_bracket import _graph_state, canonical_graph, parity_bracket
 from knotoids.smoothing import CompiledCode
 from helpers import random_code, random_multi_code, relabeled
 from reference import reference_plan, reorder
@@ -169,24 +171,47 @@ def test_cut_passes_keep_the_uncut_order():
 
 def even_pairings(compiled: CompiledCode) -> dict:
     """The parity bracket's even-set frontier, each final pairing read as
-    the set of its pairs of boundary ends (a finished segment's stub pairs
-    with itself)."""
+    the (canonical key, sigma, components) rows of its graph state, with
+    the counts of equal rows summed.  Which node of a chain of bigons
+    survives depends on the order of the splices, so the pairings
+    themselves may differ from one order to another."""
     even = compiled.even
     row = compiled.boundary(even)
-    return {
-        frozenset(frozenset((row[i], row[mates[2 * i] >> 1])) for i in range(len(row))): counts
-        for mates, counts in compiled.frontier(False, even)
-    }
+    ports = 4 * (compiled.n - len(even))
+    rows: dict = {}
+    for mates, counts in compiled.frontier(False, even):
+        state = _graph_state(mates, row, ports)
+        encodings = canonical_graph(state)
+        stubs = sum(1 for p in state.partner if p < 0)
+        comps = len(compiled.open_comps) - stubs // 2 + len(encodings)
+        for (sigma, circles, _, _), count in counts.items():
+            key = (" | ".join(encodings), sigma, circles + comps)
+            rows[key] = rows.get(key, 0) + count
+    return rows
 
 
-def state_sums(compiled: CompiledCode) -> tuple:
-    return compiled.contract(False), compiled.contract(True), even_pairings(compiled)
+def with_form(code, compiled: CompiledCode):
+    """An equal code whose compiled form is ``compiled``."""
+    fresh = dataclasses.replace(code)
+    object.__setattr__(fresh, "_compiled", compiled)
+    return fresh
+
+
+def state_sums(code, compiled: CompiledCode) -> tuple:
+    return (
+        compiled.contract(False),
+        compiled.contract(True),
+        even_pairings(compiled),
+        parity_bracket(with_form(code, compiled)),
+        parity_bracket(with_form(code, compiled), closed=True),
+    )
 
 
 def test_state_sums_do_not_depend_on_the_order():
-    """The bracket's and the arrow's contraction and the parity bracket's
-    even-set frontier give the same values under the greedy orders from two
-    other first crossings, and on the code with its crossings relabeled."""
+    """The bracket's and the arrow's contraction, the parity bracket's
+    even-set frontier and the parity bracket, open and closed, give the
+    same values under the greedy orders from two other first crossings,
+    and on the code with its crossings relabeled."""
     rng = random.Random(51)
     codes = [random_code(rng, n, loops=i % 2) for i, n in enumerate((14, 16, 18, 20))]
     for n in (14, 16):
@@ -198,12 +223,13 @@ def test_state_sums_do_not_depend_on_the_order():
     assert any(not comp.passages for comp in codes[-1].components)
     for code in codes:
         own = CompiledCode(code)
-        expected = state_sums(own)
+        expected = state_sums(code, own)
         for pick in (0, -1):
             other = reorder(CompiledCode(code), pick)
-            assert state_sums(other) == expected, (code, pick)
+            assert state_sums(code, other) == expected, (code, pick)
             assert other._plan(None) != own._plan(None)
-        assert state_sums(CompiledCode(relabeled(code, rng))) == expected, code
+        relabeled_code = relabeled(code, rng)
+        assert state_sums(relabeled_code, CompiledCode(relabeled_code)) == expected, code
 
 
 def plan_families():

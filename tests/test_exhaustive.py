@@ -98,14 +98,24 @@ def decoded_frontier(compiled, want_words, smooth):
     """``frontier``'s final pairings, each decoded from its mate array to a
     dict from each boundary end, in increasing order, to (partner, word).
 
-    A mate array pairs the boundary's positions both ways, and only a stub
-    pairs with itself (the end of a finished segment).
+    A mate array pairs the boundary's positions both ways.  Only a stub
+    (the end of a finished segment) or a port of a spliced node pairs with
+    itself, and no stub pairs with another; the node ports come first, and
+    all four of a spliced node's ports pair with themselves.
     """
     boundary = compiled.boundary(smooth)
+    ports = 0 if smooth is None else 4 * (compiled.n - len(smooth))
     for mates, counts in compiled.frontier(want_words, smooth):
         assert len(mates) == 2 * len(boundary)
         for i, j in enumerate(mates[::2]):
-            assert mates[j] == 2 * i and (j != 2 * i or boundary[i] < 0)
+            assert mates[j] == 2 * i
+            if i < ports:
+                node = range(8 * (i >> 2), 8 * (i >> 2) + 8, 2)
+                assert (j == 2 * i) == all(mates[x] == x for x in node)
+            elif j == 2 * i:
+                assert boundary[i] < 0
+            else:
+                assert boundary[i] >= 0 or boundary[j >> 1] >= 0
         ends = zip(boundary, zip([boundary[i >> 1] for i in mates[::2]], mates[1::2]))
         yield dict(sorted(ends)), counts
 

@@ -1,17 +1,22 @@
 """The contracted parity bracket against a per-state accumulation.
 
-``parity_bracket`` reads one graph state per distinct final pairing of the
-frontier engine; ``reference.parity_reference`` builds, reduces and
-canonicalizes every one of the 2^e states from ``parity_states``, as the
-bracket's definition reads, also on codes whose final pairings finish
-several node-free segments.  ``canonical_graph``'s cut-short int traces
+``parity_bracket`` reads one reduced graph state per distinct final
+pairing of the frontier engine, which splices bigons as it goes;
+``reference.parity_reference`` builds, reduces and canonicalizes every one
+of the 2^e states from ``parity_states``, as the bracket's definition
+reads, also on codes whose final pairings finish several node-free
+segments.  No final pairing keeps a reducible bigon, and over random
+smoothed sets the frontier agrees with ``_build_state`` states reduced one
+by one.  ``canonical_graph``'s cut-short int traces
 are checked against the plain minimum of full string traces from
 ``trace_component``, its pruned starts against the first-strand
 signatures of those traces, and ``_find_bigon`` against the pairwise
 bigon criterion of ``reference_bigons``.
 """
 
+import hashlib
 import itertools
+import json
 import random
 import sys
 
@@ -32,8 +37,10 @@ from knotoids.errors import LimitExceeded
 from knotoids.parity_bracket import (
     FlatParityValue,
     GraphState,
+    _build_state,
     _close_stub_paths,
     _find_bigon,
+    _graph_state,
     _least_signatures,
     _splice,
     canonical_graph,
@@ -80,21 +87,39 @@ def parities(code) -> set[str]:
     return {info.parity for info in classify_crossings(code)}
 
 
-def test_one_leg_codes_with_loops():
+def one_leg_codes():
     rng = random.Random(71)
+    return [random_code(rng, rng.randint(0, 8), loops=rng.randint(0, 3)) for _ in range(80)]
+
+
+def codes_with_several_legs():
+    rng = random.Random(72)
+    return [random_multi_code(rng, rng.randint(0, 8)) for _ in range(80)]
+
+
+def loop_only_codes():
+    rng = random.Random(73)
+    codes = [virtual_closure(random_code(rng, rng.randint(0, 8))) for _ in range(40)]
+    more = [random_multi_code(rng, rng.randint(1, 8)) for _ in range(40)]
+    return codes + [code for code in more if not code.open_components]
+
+
+def codes_with_empty_components():
+    rng = random.Random(74)
+    return [random_multi_code(rng, rng.randint(0, 7), empty=True) for _ in range(60)]
+
+
+def test_one_leg_codes_with_loops():
     graphs = 0
-    for _ in range(80):
-        code = random_code(rng, rng.randint(0, 8), loops=rng.randint(0, 3))
+    for code in one_leg_codes():
         graphs += bool(parity_bracket(code).graphical)
         assert_matches(code)
     assert graphs > 20
 
 
 def test_codes_with_several_legs():
-    rng = random.Random(72)
     legs = 0
-    for _ in range(80):
-        code = random_multi_code(rng, rng.randint(0, 8))
+    for code in codes_with_several_legs():
         legs = max(legs, len(code.open_components))
         assert_matches(code)
     assert legs >= 3
@@ -114,7 +139,7 @@ def curl_family():
     and no fourth leg, an empty one or a third curl, the legs rotated
     differently from one odd leg to the next."""
     odd_legs = [code for n in (2, 3) for code in all_codes(n) if "odd" in parities(code)]
-    for i, code in enumerate(odd_legs[::25]):
+    for i, code in enumerate(odd_legs[::22]):
         for first, second in itertools.combinations_with_replacement(CURLS, 2):
             for extra in ((), ("",), ("U1+ O1+",)):
                 legs = [curl_leg(first, "p"), code.components[0], curl_leg(second, "q")]
@@ -125,36 +150,116 @@ def curl_family():
 def test_pairings_with_several_finished_segments():
     """Every state of these codes finishes both curls as node-free
     segments, so each final pairing leaves at least four stubs paired with
-    themselves; the parity bracket, open and closed, must not depend on how
-    those stubs pair up."""
+    themselves (ports of spliced nodes, which pair with themselves too,
+    are not counted); the parity bracket, open and closed, must not depend
+    on how those stubs pair up."""
     codes = pairings = three = 0
     for code in curl_family():
         assert parity_bracket(code) == parity_reference(code), code
         assert parity_bracket(code, closed=True) == parity_reference(code, closed=True), code
         compiled = compiled_form(code)
+        row = compiled.boundary(compiled.even)
         for mates, _ in compiled.frontier(False, compiled.even):
-            stubs = sum(mates[j] == j for j in range(0, len(mates), 2))
+            stubs = sum(mates[2 * i] == 2 * i for i, end in enumerate(row) if end < 0)
             assert stubs >= 4, code
             pairings += 1
             three += stubs >= 6
         codes += 1
-    assert codes == 24 * 10 * 3 and pairings >= 1000 and three >= 300, (pairings, three)
+    assert codes == 27 * 10 * 3 and pairings >= 1000 and three >= 300, (pairings, three)
 
 
 def test_loop_only_codes():
-    rng = random.Random(73)
-    for _ in range(40):
-        assert_matches(virtual_closure(random_code(rng, rng.randint(0, 8))))
-    for _ in range(40):
-        code = random_multi_code(rng, rng.randint(1, 8))
-        if not code.open_components:
-            assert_matches(code)
+    for code in loop_only_codes():
+        assert_matches(code)
 
 
 def test_empty_components():
-    rng = random.Random(74)
-    for _ in range(60):
-        assert_matches(random_multi_code(rng, rng.randint(0, 7), empty=True))
+    for code in codes_with_empty_components():
+        assert_matches(code)
+
+
+def test_final_pairings_hold_no_reducible_bigon():
+    """The even-set frontier splices each reducible bigon as it forms, so
+    no final pairing, read as a graph state, has one left, on every
+    seeded family above."""
+    codes = one_leg_codes() + codes_with_several_legs()
+    codes += loop_only_codes() + codes_with_empty_components()
+    spliced = graphs = 0
+    for code in codes:
+        compiled = compiled_form(code)
+        row = compiled.boundary(compiled.even)
+        ports = 4 * (compiled.n - len(compiled.even))
+        for mates, _ in compiled.frontier(False, compiled.even):
+            state = _graph_state(mates, row, ports)
+            assert _find_bigon(state) is None, code
+            spliced += len(state.nodes) < ports // 4
+            graphs += bool(state.nodes)
+    assert spliced >= 100 and graphs >= 300, (spliced, graphs)
+
+
+def frontier_rows(compiled, smooth) -> dict:
+    """The frontier's final pairings over the smoothed set ``smooth``, each
+    read as its graph state: counts by (canonical key, sigma, components)."""
+    row = compiled.boundary(smooth)
+    ports = 4 * (compiled.n - len(smooth))
+    fixed = compiled.free_circles + len(compiled.open_comps)
+    rows: dict = {}
+    for mates, counts in compiled.frontier(False, smooth, fixed):
+        state = _graph_state(mates, row, ports)
+        encodings = canonical_graph(state)
+        comps = len(encodings) - sum(1 for p in state.partner if p < 0) // 2
+        for (sigma, circles, _, _), count in counts.items():
+            key = (" | ".join(encodings), sigma, circles + comps)
+            rows[key] = rows.get(key, 0) + count
+    return rows
+
+
+def per_state_rows(compiled, smooth) -> dict:
+    """The same rows from every smoothing of ``smooth`` glued by
+    ``_build_state`` and reduced on its own."""
+    nodes = set(range(compiled.n)).difference(smooth)
+    rows: dict = {}
+    for mask in range(1 << len(smooth)):
+        state = reduce_graph(_build_state(compiled, nodes, smooth, mask))
+        encodings = canonical_graph(state)
+        key = (" | ".join(encodings), state.sigma, state.circles + segments(state) + len(encodings))
+        rows[key] = rows.get(key, 0) + 1
+    return rows
+
+
+def test_any_smoothed_set_matches_the_per_state_reference():
+    """Splicing inside the frontier agrees with reducing each state on its
+    own for random smoothed sets too.  Unlike the even set, these leave
+    nodes whose strands return to them, at an adjacent port as well."""
+    rng = random.Random(80)
+    curls = 0
+    for i in range(200):
+        if i % 2:
+            code = random_code(rng, rng.randint(2, 9), loops=rng.randint(0, 2))
+        else:
+            code = random_multi_code(rng, rng.randint(2, 9), empty=i % 4 == 0)
+        compiled = CompiledCode(code)
+        smooth = [k for k in range(compiled.n) if rng.random() < 0.5]
+        assert frontier_rows(compiled, smooth) == per_state_rows(compiled, smooth), (code, smooth)
+        nodes = set(range(compiled.n)).difference(smooth)
+        for mask in range(1 << len(smooth)):
+            partner = _build_state(compiled, nodes, smooth, mask).partner
+            curls += any(p >= 0 and q >= 0 and (p ^ q) in (1, 3) for p, q in partner.items())
+    assert curls >= 1000, curls
+
+
+def test_a_spiral_reduces_to_one_final_pairing():
+    """Every state of the 32-crossing spiral reduces to a node-free graph,
+    so splicing inside the contraction merges its 65,536 even-set states
+    into one final pairing; the values are pinned from the engine that
+    reduced each of those pairings after the contraction."""
+    code = spiral(16, "+" * 32)
+    compiled = compiled_form(code)
+    assert len(compiled.even) == 16
+    assert sum(1 for _ in compiled.frontier(False, compiled.even)) == 1
+    values = [parity_bracket(code).to_json(), parity_bracket(code, closed=True).to_json()]
+    digest = hashlib.sha256(json.dumps(values, sort_keys=True).encode()).hexdigest()
+    assert digest == "0a310194761fb90d1a9e5bf1394986888a5c00f4e094858bcaa9418f21f2ec28"
 
 
 def test_all_even_and_all_odd_codes():

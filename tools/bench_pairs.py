@@ -10,11 +10,13 @@ Both directories are checkouts of the repository (for example made with
     python3 perfbench/run.py --workload W --seed S_i --seconds 20 --trace 0
 
 once in each checkout, the parent first when ``i`` is even and the change
-first when it is odd, with ``PYTHONDONTWRITEBYTECODE=1`` so that every
-set-up compiles the sources.  Only the benchmark's printed result is read;
-nothing under ``perfbench/`` is changed.  Every finished run is written to
-``<out>.runs.jsonl`` as it ends.  The summary holds, per
-end-to-end metric, the quartiles of each side
+first when it is odd.  Every run gets its own fresh, empty
+``PYTHONPYCACHEPREFIX`` and ``PYTHONDONTWRITEBYTECODE=1``, so that every
+set-up compiles the sources: Python then reads no ``__pycache__`` that a
+checkout already holds (say, after its tests ran there), and writes none.
+Only the benchmark's printed result is read; nothing under ``perfbench/``
+is changed.  Every finished run is written to ``<out>.runs.jsonl`` as it
+ends.  The summary holds, per end-to-end metric, the quartiles of each side
 (``statistics.quantiles(n=4, method='inclusive')``), the pairs the change
 won, and ``change_worse_by``: the relative gap of the medians, positive
 when the change is worse.  With ``--traced-seed S``, each checkout also runs
@@ -33,6 +35,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -53,8 +56,9 @@ def run_once(root: Path, workload: str, seed: int, trace: int = 0) -> dict:
     """One benchmark run; its result line, details line, or the failure."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory() as cache:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache)
+        proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or len(lines) < 2:
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}

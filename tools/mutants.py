@@ -7,11 +7,12 @@ which must occur once) in a temporary copy of ``src/``, ``tests/`` and
 ``pyproject.toml``, then runs
 
     python3 -m pytest -x -q -p no:cacheprovider tests/test_contraction.py \\
-        tests/test_exhaustive.py tests/test_arrow.py tests/test_moves.py
+        tests/test_exhaustive.py tests/test_arrow.py tests/test_moves.py \\
+        tests/test_parity_contraction.py tests/test_parity_bracket.py
 
 in that copy.  A mutant is killed when the tests fail (or error), and
 survives when they pass.  The unmutated copy runs first and must pass.
-Standard library only; not part of the tier-1 suite (about 25 s a mutant).
+Standard library only; not part of the tier-1 suite (about 35 s a mutant).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = (
     "tests/test_contraction.py", "tests/test_exhaustive.py", "tests/test_arrow.py",
-    "tests/test_moves.py",
+    "tests/test_moves.py", "tests/test_parity_contraction.py", "tests/test_parity_bracket.py",
 )
 
 # (name, file under src/knotoids, line text, mutated text); each text is
@@ -80,6 +81,27 @@ MUTANTS = (
     ("cusps read on the under strand's side", "smoothing.py",
      "steps.append((tail, bytes(stub), cut, *sigma_tab[k], ia, oa, ib, ob, cusp[a], moves))",
      "steps.append((tail, bytes(stub), cut, *sigma_tab[k], ia, oa, ib, ob, cusp[b], moves))"),
+    ("bigon test without the distinct-node guard", "smoothing.py",
+     "if m[s] != t or s >> 3 == t >> 3:  # spliced since, or a curl",
+     "if m[s] != t:  # spliced since"),
+    ("bigon test reads the slot after at both nodes", "smoothing.py",
+     "if (m[s & ~7 | (s + 2) & 7] != t & ~7 | (t + 6) & 7",
+     "if (m[s & ~7 | (s + 2) & 7] != t & ~7 | (t + 2) & 7"),
+    ("bigon test's other orientation reads the slot before at both nodes", "smoothing.py",
+     "and m[t & ~7 | (t + 2) & 7] != s & ~7 | (s + 6) & 7):",
+     "and m[t & ~7 | (t + 6) & 7] != s & ~7 | (s + 6) & 7):"),
+    ("strand closed by a splice adds no circle", "smoothing.py",
+     "shift += stride + unit_k[abs(m[x + 1]) // 2]",
+     "shift += unit_k[abs(m[x + 1]) // 2]"),
+    ("splice finishes a segment at one stub", "smoothing.py",
+     "if stub[a] and stub[b]:",
+     "if stub[a]:"),
+    ("splice never finishes a segment", "smoothing.py",
+     "if stub[a] and stub[b]:",
+     "if False:"),
+    ("closed stub path joins its first port to itself", "parity_bracket.py",
+     "partner[first_port] = last_port",
+     "partner[first_port] = first_port"),
     ("d-power rows without their sign", "laurent.py",
      "sign = -1 if j & 1 else 1  # d**j = (-1)**j * sum of C(j, i) A**(2j - 4i)",
      "sign = 1"),

@@ -248,6 +248,24 @@ def test_any_smoothed_set_matches_the_per_state_reference():
     assert curls >= 1000, curls
 
 
+def test_wide_node_sets_match_the_reference():
+    """At 16-20 crossings with at most 9 even ones, the node ports and
+    their arcs' far ends often take 64 or more boundary positions, so the
+    frontier packs 8-byte slots; open and closed values still equal the
+    per-state reference."""
+    rng = random.Random(81)
+    wide = 0
+    for _ in range(30):
+        code = random_code(rng, rng.randint(16, 20), loops=rng.randint(0, 1))
+        compiled = compiled_form(code)
+        if len(compiled.even) > 9:
+            continue
+        wide += compiled._plan(compiled.even)[2] == "q"
+        assert parity_bracket(code) == parity_reference(code), code
+        assert parity_bracket(code, closed=True) == parity_reference(code, closed=True), code
+    assert wide >= 10, wide
+
+
 def test_a_spiral_reduces_to_one_final_pairing():
     """Every state of the 32-crossing spiral reduces to a node-free graph,
     so splicing inside the contraction merges its 65,536 even-set states

@@ -309,39 +309,43 @@ def apply_move(code: KnotoidCode, move: MoveSpec) -> KnotoidCode:
 
 
 def inverse_of(code: KnotoidCode, move: MoveSpec) -> MoveSpec:
-    """The move that undoes ``move`` on ``apply_move(code, move)``."""
+    """The move that undoes ``move`` on ``apply_move(code, move)``.
+
+    Raises ``InapplicableMove`` when ``move`` does not apply, or when the
+    inverse read off its sites is refused or gives another code (an R1
+    deletion at a loop's last pair, or an R2 deletion of adjacent pairs).
+    """
+    moved = apply_move(code, move)
     if move.kind == R1_INSERT:
         ci, pos, _, _ = move.params
-        return MoveSpec(R1_DELETE, ((ci, pos),))
-    if move.kind == R1_DELETE:
+        inverse = MoveSpec(R1_DELETE, ((ci, pos),))
+    elif move.kind == R1_DELETE:
         ((ci, pos),) = move.params
-        comp = code.components[ci]
-        p = comp.passages[pos]
-        return MoveSpec(R1_INSERT, (ci, pos, p.role == OVER, p.sign))
-    if move.kind == R2_INSERT:
+        p = code.components[ci].passages[pos]
+        inverse = MoveSpec(R1_INSERT, (ci, pos, p.role == OVER, p.sign))
+    elif move.kind == R2_INSERT:
         (c1, i1), (c2, i2), over_site, _parallel, _sign = move.params
         j2 = i2 + 2 if c1 == c2 else i2
         site_over, site_under = ((c1, i1), (c2, j2)) if over_site == 1 else ((c2, j2), (c1, i1))
-        return MoveSpec(R2_DELETE, (site_over, site_under))
-    if move.kind == R2_DELETE:
+        inverse = MoveSpec(R2_DELETE, (site_over, site_under))
+    elif move.kind == R2_DELETE:
         (c1, i1), (c2, i2) = move.params
-        comp1, comp2 = code.components[c1], code.components[c2]
-        k1 = len(comp1.passages)
-        o1, o2 = comp1.passages[i1], comp1.passages[(i1 + 1) % k1]
-        u1 = comp2.passages[i2]
-        parallel = u1.label == o1.label
-        sign = o1.sign
+        k1 = len(code.components[c1].passages)
+        o1 = code.components[c1].passages[i1]
+        parallel = code.components[c2].passages[i2].label == o1.label
         if c1 != c2:
-            return MoveSpec(R2_INSERT, ((c1, i1), (c2, i2), 1, parallel, sign))
-        drop = sorted(x % k1 for x in (i1, i1 + 1, i2, i2 + 1))
-        new_i1 = i1 - sum(1 for x in drop if x < i1)
-        new_i2 = i2 - sum(1 for x in drop if x < i2)
-        if new_i1 <= new_i2:
-            return MoveSpec(R2_INSERT, ((c1, new_i1), (c1, new_i2), 1, parallel, sign))
-        return MoveSpec(R2_INSERT, ((c1, new_i2), (c1, new_i1), 2, parallel, sign))
-    if move.kind == R3_SLIDE:
-        return move
-    raise InapplicableMove(f"unknown move kind {move.kind!r}")
+            inverse = MoveSpec(R2_INSERT, ((c1, i1), (c2, i2), 1, parallel, o1.sign))
+        else:
+            drop = sorted(x % k1 for x in (i1, i1 + 1, i2, i2 + 1))
+            new_i1 = i1 - sum(1 for x in drop if x < i1)
+            new_i2 = i2 - sum(1 for x in drop if x < i2)
+            lo, hi, over_site = (new_i1, new_i2, 1) if new_i1 <= new_i2 else (new_i2, new_i1, 2)
+            inverse = MoveSpec(R2_INSERT, ((c1, lo), (c1, hi), over_site, parallel, o1.sign))
+    else:
+        inverse = move  # an R3 slide undoes itself
+    if apply_move(moved, inverse) != code:  # a refused inverse raises here
+        raise InapplicableMove(f"{inverse.kind} at {inverse.params} does not undo {move.kind}")
+    return inverse
 
 
 def random_walk(

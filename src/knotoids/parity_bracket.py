@@ -25,8 +25,8 @@ frontier splices each reducible bigon as soon as a join makes its edge
 so each distinct final pairing is one reduced graph state.  It is read
 straight off the first positions of the final mate array by
 ``_graph_state``, given its canonical form once, and weighted by the
-counts of all the states that share it; only the closed form closes its
-stub paths and reduces again with ``reduce_graph``.
+counts of all the states that share it; the closed form first closes its
+strands on the mate array, splicing alike (``smoothing._close_strands``).
 ``parity_states`` remains as an independent reference for the tests: it
 glues each of the 2^e smoothings with ``CompiledCode.glue_for_mask`` and
 follows its strands from node port to node port in ``_build_state``; each
@@ -52,7 +52,7 @@ from .bracket import writhe
 from .codes import FlatCode, KnotoidCode, ComponentCode, Passage
 from .errors import LimitExceeded
 from .laurent import LaurentA, state_sum, writhe_normalize
-from .smoothing import CompiledCode, DEFAULT_STATE_LIMIT, compiled_form
+from .smoothing import CompiledCode, DEFAULT_STATE_LIMIT, _close_strands, compiled_form
 
 
 @dataclass
@@ -448,39 +448,14 @@ def parity_states(
         yield _build_state(compiled, node_set, even_list, mask)
 
 
-def _close_stub_paths(state: GraphState) -> None:
-    """Join the two stub ends of every open strand, in place.
-
-    This is the virtual-closure identification of graphical states: the
-    long segment through the nodes becomes a closed strand, and bare
-    stub-to-stub edges become circles.
-    """
-    partner = state.partner
-    for s in sorted((t for t in partner if t < 0), reverse=True):
-        if s not in partner:
-            continue  # the far stub of a strand already closed
-        x = partner.pop(s)
-        if x < 0:
-            del partner[x]
-            state.circles += 1
-            continue
-        first_port = x
-        # Walk the strand from s to its far stub.
-        while x >= 0:
-            x = partner[x ^ 2]
-        last_port = partner.pop(x)
-        partner[first_port] = last_port
-        partner[last_port] = first_port
-
-
 def _graph_state(mates, row: list[int], ports: int) -> GraphState:
     """The graph state of one final pairing of the even-set frontier.
 
     The first ``ports`` positions of the final boundary ``row`` are the
     node ports, port ``p`` at position ``p``, and the rest are stubs.  The
-    frontier has spliced every reducible bigon: a spliced node's ports pair
-    with themselves and are left out, as are the stubs of finished
-    segments, so ``partner`` holds the live ports and the stubs they reach.
+    ports of a node the frontier spliced pair with themselves and are left
+    out, as are the stubs of finished segments and of closed strands, so
+    ``partner`` holds the live ports and the stubs they reach.
     """
     partner: dict[int, int] = {}
     for p, q in enumerate(mates[: 2 * ports : 2]):
@@ -498,11 +473,11 @@ def parity_bracket(
 ) -> ParityBracketValue:
     """The raw parity bracket (no writhe normalization).
 
-    With ``closed=True`` every graphical state is first sent through the
-    virtual-closure identification (open strands closed up, then reduced
-    again); the result equals the parity bracket of the virtually closed
-    code exactly.  A knotoid keeps strictly more information in the open
-    form, so ``closed=False`` is the default.
+    With ``closed=True`` every final pairing is first sent through the
+    virtual-closure identification (open strands closed up and their new
+    edges spliced); the result equals the parity bracket of the virtually
+    closed code exactly.  A knotoid keeps strictly more information in the
+    open form, so ``closed=False`` is the default.
     """
     compiled = compiled_form(code)
     even = compiled.even
@@ -510,23 +485,16 @@ def parity_bracket(
         raise LimitExceeded(
             f"{len(even)} even crossings exceed the state limit {state_limit}"
         )
-    # Every leg and free circle counts as a component up front; a leg whose
-    # stubs reach a live node belongs to that node's graph instead.
+    # The frontier counts every leg and free circle as a component up front;
+    # a leg whose stubs reach a live node belongs to that node's graph instead.
     row = compiled.boundary(even)
     ports = 4 * (compiled.n - len(even))
-    fixed = compiled.free_circles + len(compiled.open_comps)
     by_key: dict[str, dict[tuple[int, int], int]] = {}
-    for mates, counts in compiled.frontier(False, even, fixed):
+    for mates, counts in compiled.frontier(False, even):
+        extra = _close_strands(mates, 2 * ports) if closed else 0
         state = _graph_state(mates, row, ports)
-        extra = 0
-        encodings = []
-        if state.nodes:
-            stubs = sum(1 for p in state.partner if p < 0)
-            if closed:
-                _close_stub_paths(state)
-                state = reduce_graph(state)
-            encodings = canonical_graph(state)
-            extra = state.circles + len(encodings) - stubs // 2
+        encodings = canonical_graph(state) if state.nodes else []
+        extra += len(encodings) - sum(1 for p in state.partner if p < 0) // 2
         sums = by_key.setdefault(" | ".join(encodings), {})
         for (sigma, circles, _, _), count in counts.items():
             key = (sigma, circles + extra)

@@ -26,16 +26,16 @@ joins per choice, with no word arithmetic in a run without words, a few slot
 moves and a truncation; its counts pass to its successors by reference,
 under an offset that adds the step's sigma, circles, K_i and L_j.  The
 bracket and the arrow smooth every crossing and read the aggregated counts
-through ``contract``.  The parity bracket smooths only the even crossings;
-the ports of the other crossings (its nodes) hold the first boundary
-positions for the whole run, and a join that makes an edge between two of
-them splices the reducible bigon it bounds, if any, in place
-(``_splice_bigons``), so partial states that reduce alike merge.  It reads
-one reduced graph state straight off each final mate array, against the
-final ``boundary``.  A code keeps one compiled form (``compiled_form``) with
-each crossing's parity class and one plan per smoothed set, so all
-invariants of a code share one compile, and the bracket and the arrow one
-plan.
+through ``contract``.  The parity bracket smooths only the even crossings,
+without words; the ports of the other crossings (its nodes) hold the first
+boundary positions for the whole run, and a join that makes an edge
+between two of them splices the reducible bigon it bounds, if any, in
+place (``_splice_bigons``), so partial states that reduce alike merge.  It
+reads one reduced graph state off each final mate array, whose strands its
+closed form first closes (``_close_strands``).  A code keeps one compiled
+form (``compiled_form``) with each crossing's parity class and one plan
+per smoothed set, so all invariants of a code share one compile, and the
+bracket and the arrow one plan.
 
 Reduced cusp words alternate L and R, so an int stands for one: its length,
 negated when the word starts with L; 0 is the empty word.  These are the
@@ -262,15 +262,13 @@ class CompiledCode:
         """State counts keyed by (sigma, components, K indices, L indices).
 
         Every crossing is smoothed, so the final ``frontier`` holds a
-        single pairing (each stub paired with itself); the free circles
-        and one segment per open component join its closed circles as
-        components.  Counts equal those of the per-state reference ``scan``
-        aggregated the same way.
+        single pairing (each stub paired with itself).  Counts equal those
+        of the per-state reference ``scan`` aggregated the same way.
         """
-        [(_, counts)] = self.frontier(want_words, fixed=self.free_circles + len(self.open_comps))
+        [(_, counts)] = self.frontier(want_words)
         return counts
 
-    def frontier(self, want_words: bool, smooth=None, fixed: int = 0):
+    def frontier(self, want_words: bool, smooth=None):
         """The final frontier of smoothing ``smooth`` (default: all crossings).
 
         Crossings are smoothed one at a time in ``contraction_order``.  A
@@ -282,25 +280,25 @@ class CompiledCode:
         two stubs is a finished segment: both stubs then pair with
         themselves.  The ports of crossings outside ``smooth`` (nodes) hold
         the first boundary positions to the end, port ``p`` at position
-        ``p``.  A join that makes an edge between two of them runs the
-        bigon test, and a reducible bigon is spliced at once; its circles
-        count as closed circles, and the spliced nodes' ports pair with
-        themselves.  The reduced graph does not depend on the splice order,
-        so states that reduce alike merge, and no final pairing holds a
-        reducible bigon.
+        ``p``.  A join that makes an edge between two of them runs the bigon
+        test, and a reducible bigon is spliced at once; its circles count as
+        closed circles, and the spliced nodes' ports pair with themselves.
+        The reduced graph does not depend on the splice order, so states
+        that reduce alike merge, and no final pairing holds a reducible
+        bigon.  Words run only when every crossing is smoothed: no nodes.
 
         Yields, per final pairing, its mate array over ``boundary(smooth)``,
         undecoded (the stubs of a finished segment and the ports of a
         spliced node pair with themselves), and its counts keyed by (sigma,
-        ``fixed`` + closed circles, K indices, L indices).  The index tuples
-        are sorted, list each circle ``K_i`` and segment ``L_i`` finished
-        with cusps, and stay empty when ``want_words`` is false; words are
-        then 0.  A state's monomial is a number in the digits of
-        ``_monomial_places``, so a K_i or L_j adds a place value as sigma
-        and circles do, and each distinct monomial is decoded once per call.
-        Counts are keyed one pairing at a time, so they never sit in memory
-        all at once.  Partial states are mate arrays smoothed as ``_plan``
-        says; without words a join writes no word slot.
+        components, K indices, L indices), legs and free circles counted up
+        front.  The index tuples are sorted, list each circle ``K_i`` and
+        segment ``L_i`` finished with cusps, and stay empty when
+        ``want_words`` is false; words are then 0.  A state's monomial is a
+        number in the digits of ``_monomial_places``, so a K_i or L_j adds a
+        place value as sigma and circles do, and each distinct monomial is
+        decoded once per call.  Counts are keyed one pairing at a time, so
+        they never sit in memory all at once.  Partial states are mate
+        arrays smoothed as ``_plan`` says, word slots only in runs with words.
         """
         n = self.n
         # The frontier maps a packed mate array (bytes, not tuples: it is the
@@ -316,7 +314,6 @@ class CompiledCode:
         unit_k = unit_l = (0,)  # a run without words adds no K_i or L_j
         if want_words:
             unit_k, unit_l, radices = _monomial_places(n, len(self.open_comps))
-        places = (stride, unit_k, unit_l)  # what a splice's circles and segments add
         steps, _, typecode, start, circles, stop = self._plan(smooth)
         frontier: dict[bytes, tuple[int, dict[int, int]]] = {start: (circles * stride, {n: 1})}
         for tail, stub, cut, so, sd, ia, oa, ib, ob, c, moves in steps:
@@ -338,7 +335,7 @@ class CompiledCode:
                             else:
                                 m[px], m[py] = py, px
                                 if px < stop > py:  # an edge between two nodes
-                                    shift += _splice_bigons(m, stub, stop, px, py, places)
+                                    shift += stride * _splice_bigons(m, stub, stop, px, py)
                         for old, new in moves:
                             m[m[old]] = new
                             m[new] = m[old]
@@ -364,8 +361,6 @@ class CompiledCode:
                                 m[px], m[py] = py, px
                                 m[px + 1] = w
                                 m[py + 1] = -w if w & 1 else w
-                                if px < stop > py:
-                                    shift += _splice_bigons(m, stub, stop, px, py, places)
                         for old, new in moves:  # kept slots beyond the cut fill retired ones
                             m[m[old]] = new
                             m[new], m[new + 1] = m[old], m[old + 1]
@@ -388,6 +383,7 @@ class CompiledCode:
                         counts[ikey] = get(ikey, 0) + count
             frontier = merged
         decoded = {0: ((), ())}  # each distinct monomial's K and L indices
+        fixed = self.free_circles + len(self.open_comps)  # components counted up front
         for key, (offset, inner) in frontier.items():
             counts = {}
             for ikey, count in inner.items():
@@ -468,7 +464,7 @@ class CompiledCode:
         circles = 0
         for s in range(0, stop, 2):
             if start[s] < stop:
-                circles += _splice_bigons(start, stub, stop, s, start[s], (1, (0,), (0,)))
+                circles += _splice_bigons(start, stub, stop, s, start[s])
         steps = []
         for k in self.contraction_order(key):
             a, b = cross_over[k], cross_under[k]
@@ -530,24 +526,20 @@ def _monomial_places(n: int, legs: int) -> tuple[tuple[int, ...], ...]:
     return (*map(tuple, units), tuple(radices))
 
 
-def _splice_bigons(m, stub, stop: int, s: int, t: int, places) -> int:
-    """Splice the reducible bigon that the new edge between node slots ``s``
-    and ``t`` bounds, if any, and every bigon those splices make; return the
-    offset they add, read in ``places = (stride, unit_k, unit_l)``.
+def _splice_bigons(m, stub, stop: int, s: int, t: int) -> int:
+    """Splice the reducible bigon of the new edge from node slot ``s`` to
+    ``t``, if any, and each one its splices make; return the circles closed.
 
     Port ``p`` of node ``p >> 2`` sits at slot ``2 * p``, so a node's four
     slots are ``8 * node`` to ``8 * node + 6`` in rotation order, and the
     slot across is ``slot ^ 4``.  An edge bounds a bigon with the edge from
     the slot after one of its ends to the slot before the other, at two
     distinct nodes (``parity_bracket._find_bigon``).  A splice joins the
-    outer ends of each straight strand through both nodes, with no cusp at
-    a node, so the joined word is the product of the strand's two pieces.
-    A strand that closes is a circle (``stride`` plus its K_i) and one that
-    joins two stubs a finished segment (its L_j); the eight slots of the
-    two nodes then pair with themselves.
+    outer ends of each straight strand through both nodes.  A strand that
+    closes is a circle and one that joins two stubs a finished segment; the
+    eight slots of the two nodes then pair with themselves.  Words are 0.
     """
-    stride, unit_k, unit_l = places
-    shift = 0
+    circles = 0
     edges = [(s, t)]
     while edges:
         s, t = edges.pop()
@@ -559,23 +551,34 @@ def _splice_bigons(m, stub, stop: int, s: int, t: int, places) -> int:
         for x in (s & ~7, s & ~7 | 2, t & ~7, t & ~7 | 2):
             a, b = m[x], m[x ^ 4]
             if a == x ^ 4:
-                shift += stride + unit_k[abs(m[x + 1]) // 2]
+                circles += 1
+            elif stub[a] and stub[b]:
+                m[a], m[b] = a, b
             else:
-                word, wb = m[a + 1], m[(x ^ 4) + 1]  # a towards x, then on from x ^ 4
-                word = word - wb if word & 1 else word + wb
-                if stub[a] and stub[b]:
-                    m[a], m[b] = a, b
-                    m[a + 1] = m[b + 1] = 0
-                    shift += unit_l[(abs(word) + 1) // 2]
-                else:
-                    m[a], m[b] = b, a
-                    m[a + 1] = word
-                    m[b + 1] = -word if word & 1 else word
-                    if a < stop > b:
-                        edges.append((a, b))
+                m[a], m[b] = b, a
+                if a < stop > b:
+                    edges.append((a, b))
             m[x], m[x ^ 4] = x, x ^ 4
-            m[x + 1] = m[(x ^ 4) + 1] = 0
-    return shift
+    return circles
+
+
+def _close_strands(m, stop: int) -> int:
+    """Close each strand of a final even-set mate array ``m`` in place, as the
+    virtual closure does: join its end ports (``slot ^ 4`` is across a node),
+    pair its stubs (the slots from ``stop`` on) with themselves and splice
+    the new edge.  Return the circles closed less the strands closed."""
+    stub = bytes(stop).ljust(len(m), b"\1")
+    gained = 0
+    for s in range(stop, len(m), 2):
+        x = first = m[s]
+        if first < stop:  # else a finished segment, or a closed strand's far stub
+            while m[x ^ 4] < stop:
+                x = m[x ^ 4]
+            last, t = x ^ 4, m[x ^ 4]
+            m[s], m[t] = s, t
+            m[first], m[last] = last, first
+            gained += _splice_bigons(m, stub, stop, first, last) - 1
+    return gained
 
 
 def trace_state(compiled: CompiledCode, glue: list[int], want_words: bool):

@@ -10,14 +10,17 @@ first crossing; a state sum must not depend on the order.
 
 ``parity_reference`` is the parity bracket summed one graph state at a
 time over the 2^e states of ``parity_states``, as its definition reads;
-``parity_bracket`` reads one state per final pairing of the frontier.
+``parity_bracket`` reads one state per final pairing of the frontier.  Its
+closed form closes each reduced state's stub paths with
+``_close_stub_paths`` and reduces again with ``reduce_graph``, where
+``parity_bracket`` closes the strands on the mate array.
 """
 
 from array import array
 
 from knotoids.laurent import LaurentA, loop_value
 from knotoids.parity_bracket import (
-    ParityBracketValue, _close_stub_paths, canonical_graph, parity_states, reduce_graph,
+    GraphState, ParityBracketValue, canonical_graph, parity_states, reduce_graph,
 )
 from knotoids.smoothing import _splice_bigons
 
@@ -43,7 +46,7 @@ def reference_plan(compiled, smooth=None):
     start = [v for e in boundary for v in (slot[partner[e]], 0)]
     stub = bytes(e < 0 for e in boundary for _ in (0, 1))
     circles = sum(
-        _splice_bigons(start, stub, stop, s, start[s], (1, (0,), (0,)))
+        _splice_bigons(start, stub, stop, s, start[s])
         for s in range(0, stop, 2) if start[s] < stop
     )
     steps = []
@@ -116,6 +119,31 @@ def reorder(compiled, pick: int):
 
     compiled.contraction_order = order
     return compiled
+
+
+def _close_stub_paths(state: GraphState) -> None:
+    """Join the two stub ends of every open strand, in place.
+
+    This is the virtual-closure identification of graphical states: the
+    long segment through the nodes becomes a closed strand, and bare
+    stub-to-stub edges become circles.
+    """
+    partner = state.partner
+    for s in sorted((t for t in partner if t < 0), reverse=True):
+        if s not in partner:
+            continue  # the far stub of a strand already closed
+        x = partner.pop(s)
+        if x < 0:
+            del partner[x]
+            state.circles += 1
+            continue
+        first_port = x
+        # Walk the strand from s to its far stub.
+        while x >= 0:
+            x = partner[x ^ 2]
+        last_port = partner.pop(x)
+        partner[first_port] = last_port
+        partner[last_port] = first_port
 
 
 def segments(state) -> int:

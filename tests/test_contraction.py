@@ -183,7 +183,7 @@ def even_pairings(compiled: CompiledCode) -> dict:
         state = _graph_state(mates, row, ports)
         encodings = canonical_graph(state)
         stubs = sum(1 for p in state.partner if p < 0)
-        comps = len(compiled.open_comps) - stubs // 2 + len(encodings)
+        comps = len(encodings) - stubs // 2
         for (sigma, circles, _, _), count in counts.items():
             key = (" | ".join(encodings), sigma, circles + comps)
             rows[key] = rows.get(key, 0) + count

@@ -81,6 +81,31 @@ def test_r1_inverse_roundtrip():
         assert apply_move(bigger, inverse_of(code, move)) == code
 
 
+def test_deletion_inverses_undo_or_raise():
+    """Every R1/R2 deletion's inverse either gives the code back exactly or
+    raises ``InapplicableMove``: an R1 deletion at a loop's last pair, an R2
+    deletion of an over pair next to its under pair, and an R2 deletion
+    across components where the loop's pair wraps round its end read off
+    an insertion that is refused or gives another code."""
+    rng = random.Random(7)
+    listed = undone = 0
+    for _ in range(400):
+        code = random_code(rng, rng.randint(2, 5), loops=rng.randint(0, 2))
+        if len(code.components) == 1 and rng.random() < 0.5:
+            code = virtual_closure(code)
+        for move in applicable_moves(code):
+            if move.kind not in (R1_DELETE, R2_DELETE):
+                continue
+            listed += 1
+            try:
+                inverse = inverse_of(code, move)
+            except InapplicableMove:
+                continue
+            assert apply_move(apply_move(code, move), inverse) == code, (code, move)
+            undone += 1
+    assert (listed, undone) == (438, 331)
+
+
 def test_r3_self_inverse_and_invariance():
     rng = random.Random(93)
     tested = 0

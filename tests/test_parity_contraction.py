@@ -5,10 +5,10 @@ pairing of the frontier engine, which splices bigons as it goes;
 ``reference.parity_reference`` builds, reduces and canonicalizes every one
 of the 2^e states from ``parity_states``, as the bracket's definition
 reads, also on codes whose final pairings finish several node-free
-segments.  No final pairing keeps a reducible bigon, and over random
-smoothed sets the frontier agrees with ``_build_state`` states reduced one
-by one.  ``canonical_graph``'s cut-short int traces
-are checked against the plain minimum of full string traces from
+segments.  No final pairing keeps a reducible bigon, before or after
+``_close_strands`` closes its strands, and over random smoothed sets the
+frontier agrees with ``_build_state`` states reduced one by one.
+``canonical_graph``'s cut-short int traces are checked against the plain minimum of full string traces from
 ``trace_component``, its pruned starts against the first-strand
 signatures of those traces, and ``_find_bigon`` against the pairwise
 bigon criterion of ``reference_bigons``.
@@ -38,7 +38,6 @@ from knotoids.parity_bracket import (
     FlatParityValue,
     GraphState,
     _build_state,
-    _close_stub_paths,
     _find_bigon,
     _graph_state,
     _least_signatures,
@@ -49,9 +48,9 @@ from knotoids.parity_bracket import (
     parity_states,
     reduce_graph,
 )
-from knotoids.smoothing import CompiledCode, compiled_form
-from helpers import all_codes, random_code, random_multi_code
-from reference import parity_reference, segments
+from knotoids.smoothing import CompiledCode, _close_strands, compiled_form
+from helpers import all_codes, count_calls, random_code, random_multi_code
+from reference import _close_stub_paths, parity_reference, segments
 
 
 def flat_reference(code: KnotoidCode) -> FlatParityValue:
@@ -178,14 +177,20 @@ def test_empty_components():
         assert_matches(code)
 
 
-def test_final_pairings_hold_no_reducible_bigon():
+def test_final_pairings_hold_no_reducible_bigon(monkeypatch):
     """The even-set frontier splices each reducible bigon as it forms, so
     no final pairing, read as a graph state, has one left, on every
-    seeded family above."""
+    seeded family above.  Nor has one once ``_close_strands`` has closed
+    its strands: it splices with the kernel's splicer too, so the closed
+    parity bracket calls neither ``reduce_graph`` nor ``_splice``."""
     codes = one_leg_codes() + codes_with_several_legs()
     codes += loop_only_codes() + codes_with_empty_components()
-    spliced = graphs = 0
+    calls: list[str] = []
+    count_calls(monkeypatch, calls, reduce_graph)
+    count_calls(monkeypatch, calls, _splice)
+    spliced = graphs = closed = 0
     for code in codes:
+        parity_bracket(code, closed=True)
         compiled = compiled_form(code)
         row = compiled.boundary(compiled.even)
         ports = 4 * (compiled.n - len(compiled.even))
@@ -194,7 +199,13 @@ def test_final_pairings_hold_no_reducible_bigon():
             assert _find_bigon(state) is None, code
             spliced += len(state.nodes) < ports // 4
             graphs += bool(state.nodes)
-    assert spliced >= 100 and graphs >= 300, (spliced, graphs)
+            _close_strands(mates, 2 * ports)
+            after = _graph_state(mates, row, ports)
+            assert _find_bigon(after) is None, code
+            assert all(p >= 0 for p in after.partner), code  # no stub is left
+            closed += len(after.nodes) < len(state.nodes)
+    assert calls == []
+    assert spliced >= 100 and graphs >= 300 and closed >= 20, (spliced, graphs, closed)
 
 
 def frontier_rows(compiled, smooth) -> dict:
@@ -202,9 +213,8 @@ def frontier_rows(compiled, smooth) -> dict:
     read as its graph state: counts by (canonical key, sigma, components)."""
     row = compiled.boundary(smooth)
     ports = 4 * (compiled.n - len(smooth))
-    fixed = compiled.free_circles + len(compiled.open_comps)
     rows: dict = {}
-    for mates, counts in compiled.frontier(False, smooth, fixed):
+    for mates, counts in compiled.frontier(False, smooth):
         state = _graph_state(mates, row, ports)
         encodings = canonical_graph(state)
         comps = len(encodings) - sum(1 for p in state.partner if p < 0) // 2

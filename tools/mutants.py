@@ -10,9 +10,11 @@ which must occur once) in a temporary copy of ``src/``, ``tests/`` and
         tests/test_exhaustive.py tests/test_arrow.py tests/test_moves.py \\
         tests/test_parity_contraction.py tests/test_parity_bracket.py
 
-in that copy.  A mutant is killed when the tests fail (or error), and
-survives when they pass.  The unmutated copy runs first and must pass.
-Standard library only; not part of the tier-1 suite (about 35 s a mutant).
+in that copy.  A mutant is killed when the tests fail (or error) or run
+past five times the unmutated run's time (a mutant can make a loop never
+end), and survives when they pass.  The unmutated copy runs first and must
+pass.  Standard library only; not part of the tier-1 suite (about 35 s a
+mutant).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,17 +94,26 @@ MUTANTS = (
      "and m[t & ~7 | (t + 2) & 7] != s & ~7 | (s + 6) & 7):",
      "and m[t & ~7 | (t + 6) & 7] != s & ~7 | (s + 6) & 7):"),
     ("strand closed by a splice adds no circle", "smoothing.py",
-     "shift += stride + unit_k[abs(m[x + 1]) // 2]",
-     "shift += unit_k[abs(m[x + 1]) // 2]"),
+     "circles += 1",
+     "circles += 0"),
     ("splice finishes a segment at one stub", "smoothing.py",
-     "if stub[a] and stub[b]:",
-     "if stub[a]:"),
+     "elif stub[a] and stub[b]:",
+     "elif stub[a]:"),
     ("splice never finishes a segment", "smoothing.py",
-     "if stub[a] and stub[b]:",
-     "if False:"),
-    ("closed stub path joins its first port to itself", "parity_bracket.py",
-     "partner[first_port] = last_port",
-     "partner[first_port] = first_port"),
+     "elif stub[a] and stub[b]:",
+     "elif False:"),
+    ("closed strand's stubs not paired with themselves", "smoothing.py",
+     "m[s], m[t] = s, t",
+     "pass"),
+    ("closed strand's end port not taken across its node", "smoothing.py",
+     "last, t = x ^ 4, m[x ^ 4]",
+     "last, t = x, m[x ^ 4]"),
+    ("closed strand's new edge not spliced", "smoothing.py",
+     "gained += _splice_bigons(m, stub, stop, first, last) - 1",
+     "gained -= 1"),
+    ("closed strand not subtracted", "smoothing.py",
+     "gained += _splice_bigons(m, stub, stop, first, last) - 1",
+     "gained += _splice_bigons(m, stub, stop, first, last)"),
     ("d-power rows without their sign", "laurent.py",
      "sign = -1 if j & 1 else 1  # d**j = (-1)**j * sum of C(j, i) A**(2j - 4i)",
      "sign = 1"),
@@ -149,8 +161,9 @@ def mutate(tree: Path, source: str, line: str, mutated: str) -> None:
     path.write_text("".join(lines))
 
 
-def killed(mutant) -> bool:
-    """Whether the tests fail on a copy of the tree with ``mutant`` applied."""
+def killed(mutant, timeout=None) -> bool:
+    """Whether the tests fail, or outrun ``timeout`` seconds, on a copy of
+    the tree with ``mutant`` applied."""
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
         for part in ("src", "tests"):
@@ -160,16 +173,22 @@ def killed(mutant) -> bool:
             mutate(tree, *mutant[1:])
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(tree / "src"))
         argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS]
-        return subprocess.run(argv, cwd=tree, env=env, capture_output=True).returncode != 0
+        try:
+            run = subprocess.run(argv, cwd=tree, env=env, capture_output=True, timeout=timeout)
+        except subprocess.TimeoutExpired:
+            return True
+        return run.returncode != 0
 
 
 def main() -> int:
+    start = time.monotonic()
     if killed(None):
         print("the unmutated tree fails its tests; no score")
         return 1
+    timeout = 5 * (time.monotonic() - start)
     survivors = []
     for mutant in MUTANTS:
-        dead = killed(mutant)
+        dead = killed(mutant, timeout)
         print(f"{'killed  ' if dead else 'SURVIVED'} {mutant[0]}", flush=True)
         if not dead:
             survivors.append(mutant[0])

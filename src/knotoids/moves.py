@@ -26,10 +26,10 @@ then ``sign``; R2 row a (first site a) starts at 4a(2S - a) and holds 4
 inserts at site a twice (``over_site``, ``sign``), then 8 per later second
 site (``over_site``, ``parallel``, ``sign``).  ``random_walk`` builds only
 the move it draws.  The adjacent pairs and their label sets are listed
-once per code for the deletions and the slides.  R3 sites are found through
-a label index: the three pairs of a triangle carry the label sets {x,y},
-{y,z} and {x,z}, one over-over, one under-under and one mixed, so only such
-triples reach the pattern check.
+once per code for the deletions and the slides.  A label index names each
+R3 triangle: an over-over top {x,y}, an under-under bottom {y,z} and a mixed
+middle {x,z}; a middle that passes under x and over z leaves six distinct
+passages, so only the two relations above remain to test.
 
 ``apply_move`` accepts a deletion or an R3 slide exactly when
 ``applicable_moves`` lists it, by listing the adjacent pairs at its sites.
@@ -40,7 +40,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,6 +52,11 @@ R2_INSERT = "r2_insert"
 R2_DELETE = "r2_delete"
 R3_SLIDE = "r3_slide"
 _CROSSING_DELTA = {R1_INSERT: 1, R1_DELETE: -1, R2_INSERT: 2, R2_DELETE: -2}
+# The values that ``move_at`` gives the flags after an insertion's sites.
+_INSERT_FLAGS = {
+    R1_INSERT: list(itertools.product((True, False), (1, -1))),
+    R2_INSERT: list(itertools.product((1, 2), (False, True), (1, -1))),
+}
 
 
 @dataclass(frozen=True)
@@ -121,7 +125,7 @@ def _move_table(code: KnotoidCode, max_crossings: int | None) -> _MoveTable:
     pairs = _labelled_pairs(code)
     rest = [m for m in _deletion_moves(pairs) if m.crossing_delta() <= budget]
     if budget >= 0:
-        rest += _r3_moves(code, pairs)
+        rest += _r3_moves(pairs)
     s = len(sites)
     return _MoveTable(sites, 4 * s if budget >= 1 else 0, 4 * s * s if budget >= 2 else 0, rest)
 
@@ -181,10 +185,14 @@ def _deletion_moves(pairs: list[tuple]) -> list[MoveSpec]:
     return moves
 
 
-def _r3_moves(code: KnotoidCode, pairs: list[tuple]) -> list[MoveSpec]:
-    """R3 sites in index order.  Each over-over pair meets the under-under
-    pairs that share one of its labels, then the mixed pairs that carry the
-    remaining label set; only those triples reach ``_valid_r3``."""
+def _r3_moves(pairs: list[tuple]) -> list[MoveSpec]:
+    """R3 sites in index order.  The index names the triangle: the top is an
+    over-over pair {x, y}, the bottom an under-under pair {y, z} and the
+    middle a mixed pair {x, z}.  Left open are the middle pair's orientation,
+    which must pass under x and over z (the other one reuses passages of the
+    top and the bottom), and the two sign relations, with the orders read
+    off the three pairs.  Once the middle passes under x, the six passages
+    are distinct, each label occurs twice and each pair has one role."""
     over, under_by_label, mixed_by_set = [], {}, {}
     for i, (_, p, q, key) in enumerate(pairs):
         if p.label == q.label:
@@ -196,62 +204,22 @@ def _r3_moves(code: KnotoidCode, pairs: list[tuple]) -> list[MoveSpec]:
         else:
             for label in key:
                 under_by_label.setdefault(label, []).append(i)
-    triples = [
-        sorted((t, b, m))
-        for t in over
-        for label in pairs[t][3]
-        for b in under_by_label.get(label, ())
-        for m in mixed_by_set.get(pairs[t][3] ^ pairs[b][3], ())
-    ]
-    moves = []
-    for triple in sorted(triples):
-        sites = tuple(pairs[i][:3] for i in triple)
-        if _valid_r3(code, sites):
-            moves.append(MoveSpec(R3_SLIDE, tuple(site for site, _, _ in sites)))
-    return moves
-
-
-def _valid_r3(code: KnotoidCode, sites) -> bool:
-    """Check the triangle pattern: roles, label linkage, orders and signs."""
-    spans = set()
-    for (ci, pos), _, _ in sites:
-        k = len(code.components[ci].passages)
-        spans.add((ci, pos))
-        spans.add((ci, (pos + 1) % k))
-    if len(spans) != 6:
-        return False
-    labels = Counter(x.label for _, p, q in sites for x in (p, q))
-    if len(labels) != 3 or set(labels.values()) != {2}:
-        return False
-    roles = [(p.role, q.role) for _, p, q in sites]
-    top = [i for i, r in enumerate(roles) if r == (OVER, OVER)]
-    bottom = [i for i, r in enumerate(roles) if r == (UNDER, UNDER)]
-    mixed = [i for i, r in enumerate(roles) if r in ((OVER, UNDER), (UNDER, OVER))]
-    if len(top) != 1 or len(bottom) != 1 or len(mixed) != 1:
-        return False
-    t, m, b = sites[top[0]], sites[mixed[0]], sites[bottom[0]]
-    t_labels = {t[1].label, t[2].label}
-    m_labels = {m[1].label, m[2].label}
-    b_labels = {b[1].label, b[2].label}
-    tm = t_labels & m_labels
-    tb = t_labels & b_labels
-    mb = m_labels & b_labels
-    if len(tm) != 1 or len(tb) != 1 or len(mb) != 1:
-        return False
-    tm, tb, mb = tm.pop(), tb.pop(), mb.pop()
-    # The middle strand overpasses the bottom one and underpasses the top.
-    m_role = {m[1].label: m[1].role, m[2].label: m[2].role}
-    if m_role[tm] != UNDER or m_role[mb] != OVER:
-        return False
-    signs = {x.label: x.sign for _, p, q in sites for x in (p, q)}
-    order_t = t[1].label == tm
-    order_m = m[1].label == tm
-    order_b = b[1].label == tb
-    if signs[tm] * signs[tb] != (1 if order_m == order_b else -1):
-        return False
-    if signs[tb] * signs[mb] != (1 if order_t == order_m else -1):
-        return False
-    return True
+    triples = []
+    for t in over:
+        _, p, q, _ = pairs[t]
+        for x, y in ((p, q), (q, p)):
+            for b in under_by_label.get(y.label, ()):
+                _, u, v, _ = pairs[b]
+                z = v if u.label == y.label else u
+                for m in mixed_by_set.get(frozenset((x.label, z.label)), ()):
+                    _, r, s, _ = pairs[m]
+                    x_first = r.label == x.label
+                    if (r if x_first else s).role != UNDER:
+                        continue
+                    if (x.sign * y.sign == (1 if x_first == (u.label == y.label) else -1)
+                            and y.sign * z.sign == (1 if x_first == (p.label == x.label) else -1)):
+                        triples.append(sorted((t, b, m)))
+    return [MoveSpec(R3_SLIDE, tuple(pairs[i][0] for i in triple)) for triple in sorted(triples)]
 
 
 def apply_move(code: KnotoidCode, move: MoveSpec) -> KnotoidCode:
@@ -261,8 +229,15 @@ def apply_move(code: KnotoidCode, move: MoveSpec) -> KnotoidCode:
     lists it: it must be the move that ``_deletion_moves`` or ``_r3_moves``
     lists on the adjacent pairs at its own sites.  An insertion needs its
     sites in range, the two sites of an R2 insertion in one component in
-    order, and two distinct sites for a parallel one.
+    order, two distinct sites for a parallel one, and flags that
+    ``applicable_moves`` lists.  Sites are (component, position) pairs of ints.
     """
+    split = 2 if move.kind in _INSERT_FLAGS else len(move.params)
+    head, flags = move.params[:split], move.params[split:]
+    if flags not in _INSERT_FLAGS.get(move.kind, [()]) or not all(
+            isinstance(s, tuple) and len(s) == 2 and all(isinstance(i, int) for i in s)
+            for s in ([head] if move.kind == R1_INSERT else head)):
+        raise InapplicableMove(f"no {move.kind} with params {move.params!r}")
     edits: dict[int, list] = {}  # each touched component's passages, edited in place
     inserts = []  # (site, pair), later site first so the earlier keeps its position
     if move.kind == R1_INSERT:
@@ -285,7 +260,7 @@ def apply_move(code: KnotoidCode, move: MoveSpec) -> KnotoidCode:
         inserts = [((c2, i2), pair2), ((c1, i1), pair1)]
     elif move.kind in (R1_DELETE, R2_DELETE, R3_SLIDE):
         pairs = [_pair_at(code, site) for site in sorted(move.params)]
-        listed = _r3_moves(code, pairs) if move.kind == R3_SLIDE else _deletion_moves(pairs)
+        listed = _r3_moves(pairs) if move.kind == R3_SLIDE else _deletion_moves(pairs)
         if move not in listed:
             raise InapplicableMove(f"no {move.kind} at {move.params}")
         for (ci, pos), p, q, _ in pairs:

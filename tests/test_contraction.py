@@ -197,10 +197,10 @@ def with_form(code, compiled: CompiledCode):
     return fresh
 
 
-def state_sums(code, compiled: CompiledCode) -> tuple:
+def state_sums(code, compiled: CompiledCode, arrow: bool = True) -> tuple:
     return (
         compiled.contract(False),
-        compiled.contract(True),
+        compiled.contract(True) if arrow else None,
         even_pairings(compiled),
         parity_bracket(with_form(code, compiled)),
         parity_bracket(with_form(code, compiled), closed=True),
@@ -211,7 +211,9 @@ def test_state_sums_do_not_depend_on_the_order():
     """The bracket's and the arrow's contraction, the parity bracket's
     even-set frontier and the parity bracket, open and closed, give the
     same values under the greedy orders from two other first crossings,
-    and on the code with its crossings relabeled."""
+    and on the code with its crossings relabeled, for codes of one to six
+    legs.  One-leg codes of 22-24 crossings take one other order and leave
+    out the arrow, whose word run at that size costs the most."""
     rng = random.Random(51)
     codes = [random_code(rng, n, loops=i % 2) for i, n in enumerate((14, 16, 18, 20))]
     for n in (14, 16):
@@ -221,15 +223,24 @@ def test_state_sums_do_not_depend_on_the_order():
                                   ComponentCode(OPEN, passages[cut:]))))
     codes.append(random_multi_code(rng, 14, empty=True))
     assert any(not comp.passages for comp in codes[-1].components)
-    for code in codes:
+    more = random.Random(24)
+    for legs, n in ((3, 14), (4, 16), (6, 18)):
+        passages = random_code(more, n).components[0].passages
+        cuts = [0, *sorted(more.sample(range(1, 2 * n), legs - 1)), 2 * n]
+        codes.append(KnotoidCode(tuple(ComponentCode(OPEN, passages[i:j])
+                                       for i, j in zip(cuts, cuts[1:]))))
+    large = [random_code(more, n, loops=n % 2) for n in (22, 23, 24)]
+    for code in codes + large:
+        small = code not in large
         own = CompiledCode(code)
-        expected = state_sums(code, own)
-        for pick in (0, -1):
+        expected = state_sums(code, own, arrow=small)
+        for pick in (0, -1) if small else (0,):
             other = reorder(CompiledCode(code), pick)
-            assert state_sums(code, other) == expected, (code, pick)
+            assert state_sums(code, other, arrow=small) == expected, (code, pick)
             assert other._plan(None) != own._plan(None)
-        relabeled_code = relabeled(code, rng)
-        assert state_sums(relabeled_code, CompiledCode(relabeled_code)) == expected, code
+        if small:
+            relabeled_code = relabeled(code, rng)
+            assert state_sums(relabeled_code, CompiledCode(relabeled_code)) == expected, code
 
 
 def plan_families():

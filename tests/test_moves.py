@@ -19,11 +19,9 @@ from knotoids.moves import (
     R2_DELETE,
     R2_INSERT,
     R3_SLIDE,
-    _adjacent_pairs,
     _deletion_moves,
     _labelled_pairs,
     _r3_moves,
-    _valid_r3,
     applicable_moves,
     apply_move,
     inverse_of,
@@ -181,6 +179,43 @@ def test_apply_rejects_bad_sites():
         apply_move(code, MoveSpec(R2_INSERT, ((0, 1), (0, 1), 1, True, 1)))
 
 
+def test_apply_rejects_unlisted_insert_flags_and_malformed_params():
+    """Every listed insertion applies; one whose flags take no value that
+    ``applicable_moves`` lists, or any move whose params have the wrong
+    shape, raises InapplicableMove."""
+    rng = random.Random(24)
+    codes = [random_code(rng, rng.randint(0, 3), loops=rng.choice((0, 1))) for _ in range(6)]
+    codes += [random_multi_code(rng, rng.randint(0, 3), empty=True) for _ in range(4)]
+    for code in codes:
+        for move in applicable_moves(code):
+            if move.kind in (R1_INSERT, R2_INSERT):
+                validate(apply_move(code, move))
+    code = parse("open: O1+ U2+ U1+ O2+")
+    listed = applicable_moves(code)
+    refused = [
+        MoveSpec(R2_INSERT, ((0, 0), (0, 1), 3, False, 1)),
+        MoveSpec(R2_INSERT, ((0, 0), (0, 1), 1, "no", 1)),
+        MoveSpec(R2_INSERT, ((0, 0), (0, 1), 1, False, 2)),
+        MoveSpec(R1_INSERT, (0, 0, "yes", 1)),
+        MoveSpec(R1_INSERT, (0, 0, True, 0)),
+        MoveSpec(R1_INSERT, (0,)),
+        MoveSpec(R1_INSERT, (0, 0, True, 1, 1)),
+        MoveSpec(R1_INSERT, (0, 0.5, True, 1)),
+        MoveSpec(R2_INSERT, ((0, 0), (0, 1), 1, False)),
+        MoveSpec(R2_INSERT, ((0, 0), (0,), 1, False, 1)),
+        MoveSpec(R2_INSERT, ((0, 0), 1, 1, False, 1)),
+        MoveSpec(R1_DELETE, ((0,),)),
+        MoveSpec(R1_DELETE, (0,)),
+        MoveSpec(R2_DELETE, ((0, 0), 5)),
+        MoveSpec(R2_DELETE, ((0, 0), (0, 2, 1))),
+        MoveSpec(R3_SLIDE, ((0, 0), (0, "a"), (0, 1))),
+    ]
+    for move in refused:
+        assert move not in listed
+        with pytest.raises(InapplicableMove):
+            apply_move(code, move)
+
+
 # The head and tail passages of an open strand are not adjacent, so deleting
 # them together is no knotoid move; it would change the normalized arrow.
 ENDS_CODE = "open: U1- O2- U2- O3+ U4- U3+ O4- O1-"
@@ -204,7 +239,7 @@ def _applicability_codes():
     while len(slides) < 6:
         code = (random_code(rng, rng.randint(3, 5), loops=rng.choice((0, 1)))
                 if len(slides) % 2 else random_multi_code(rng, rng.randint(3, 5)))
-        if _r3_moves(code, _labelled_pairs(code)):
+        if _r3_moves(_labelled_pairs(code)):
             slides.append(code)
     return codes + slides
 
@@ -383,21 +418,28 @@ def test_golden_cli_walk(capsys):
 
 
 def _r3_scan(code):
-    """Reference R3 enumeration: every triple of distinct-label adjacent pairs."""
-    pairs = [
-        ((ci, pos), p, q)
-        for ci, comp in enumerate(code.components)
-        for pos, p, q in _adjacent_pairs(comp)
-        if p.label != q.label
-    ]
+    """Reference R3 enumeration from the definition, sharing no code with
+    ``_r3_moves``: for every ordered triple of distinct labels (x, y, z),
+    the adjacent pairs that hold {O x, O y} (top), {U y, U z} (bottom) and
+    {U x, O z} (middle), kept when the two sign relations hold."""
+    at = {}  # the two passages' (role, label) -> [(site, first label)]
+    for ci, comp in enumerate(code.components):
+        k = len(comp.passages)
+        for pos in range(k if comp.kind == LOOP and k > 1 else max(k - 1, 0)):
+            p, q = comp.passages[pos], comp.passages[(pos + 1) % k]
+            key = frozenset(((p.role, p.label), (q.role, q.label)))
+            at.setdefault(key, []).append(((ci, pos), p.label))
+    sign = {p.label: p.sign for _, _, p in code.all_passages()}
     moves = []
-    for a in range(len(pairs)):
-        for b in range(a + 1, len(pairs)):
-            for c in range(b + 1, len(pairs)):
-                sites = (pairs[a], pairs[b], pairs[c])
-                if _valid_r3(code, sites):
-                    moves.append(MoveSpec(R3_SLIDE, tuple(site for site, _, _ in sites)))
-    return moves
+    for x, y, z in itertools.permutations(sign, 3):
+        top = at.get(frozenset((("O", x), ("O", y))), ())
+        bottom = at.get(frozenset((("U", y), ("U", z))), ())
+        middle = at.get(frozenset((("U", x), ("O", z))), ())
+        for (t, t1), (b, b1), (m, m1) in itertools.product(top, bottom, middle):
+            if (sign[x] * sign[y] == (1 if (m1 == x) == (b1 == y) else -1)
+                    and sign[y] * sign[z] == (1 if (t1 == x) == (m1 == x) else -1)):
+                moves.append(MoveSpec(R3_SLIDE, tuple(sorted((t, b, m)))))
+    return sorted(moves, key=lambda move: move.params)
 
 
 def _differential_codes():
@@ -423,12 +465,12 @@ UNSORTED_R3 = (
 
 def test_indexed_r3_matches_triple_scan():
     unsorted = parse(UNSORTED_R3)
-    assert len(_r3_moves(unsorted, _labelled_pairs(unsorted))) >= 2
+    assert len(_r3_moves(_labelled_pairs(unsorted))) >= 2
     codes = [parse(UNSORTED_R3)] + _differential_codes()
     with_sites = 0
     for code in codes:
         expected = _r3_scan(code)
-        assert _r3_moves(code, _labelled_pairs(code)) == expected, serialize(code)
+        assert _r3_moves(_labelled_pairs(code)) == expected, serialize(code)
         with_sites += bool(expected)
     assert with_sites >= 200
 
@@ -517,7 +559,7 @@ def test_walk_builds_only_the_drawn_move(monkeypatch):
         # Deletions and R3 slides are enumerated; of the inserts, only the
         # drawn one is built.
         bound = sum(
-            len(_deletion_moves(_labelled_pairs(c))) + len(_r3_moves(c, _labelled_pairs(c))) + 1
+            len(_deletion_moves(_labelled_pairs(c))) + len(_r3_moves(_labelled_pairs(c))) + 1
             for c in walk[:-1]
         )
         assert 0 < len(built) <= bound

@@ -12,9 +12,11 @@ which must occur once) in a temporary copy of ``src/``, ``tests/`` and
 
 in that copy.  A mutant is killed when the tests fail (or error) or run
 past five times the unmutated run's time (a mutant can make a loop never
-end), and survives when they pass.  The unmutated copy runs first and must
-pass.  Standard library only; not part of the tier-1 suite (about 35 s a
-mutant).
+end), and survives when they pass.  A mutant listed with the argument why
+it computes what the unmutated line does is equivalent: it is run and
+reported, but its survival fails nothing.  The unmutated copy runs first
+and must pass.  Exits 1 when a mutant that is not equivalent survives.
+Standard library only; not part of the tier-1 suite (about 35 s a mutant).
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ TESTS = (
     "tests/test_moves.py", "tests/test_parity_contraction.py", "tests/test_parity_bracket.py",
 )
 
-# (name, file under src/knotoids, line text, mutated text); each text is
-# stripped of its indentation, which the mutation keeps.
+# (name, file under src/knotoids, line text, mutated text[, why it is
+# equivalent]); each text is stripped of its indentation, which the
+# mutation keeps.
 MUTANTS = (
     ("K radix without its +1", "smoothing.py",
      "for unit, radix in zip(units, (n // i + 1, min(legs, 2 * n // (2 * i - 1)) + 1)):",
@@ -114,6 +117,20 @@ MUTANTS = (
     ("closed strand not subtracted", "smoothing.py",
      "gained += _splice_bigons(m, stub, stop, first, last) - 1",
      "gained += _splice_bigons(m, stub, stop, first, last)"),
+    ("trace's revisit offset read clockwise", "parity_bracket.py",
+     "yield rank[node] + ((q - ref[node]) & 3)",
+     "yield rank[node] + ((ref[node] - q) & 3)"),
+    ("least trace keeps the longer one on a prefix tie", "parity_bracket.py",
+     "return best[:i]",
+     "return best",
+     "every trace of a component has two tokens per node and two per strand, "
+     "so the two traces run out together and a prefix tie is a full tie"),
+    ("signature key of a start that leaves above not reversed", "parity_bracket.py",
+     "key = (0, m, tok) if tok < ranks[m] else (1, -m, tok)",
+     "key = (0, m, tok) if tok < ranks[m] else (1, m, tok)"),
+    ("token table ranks ids as ints", "parity_bracket.py",
+     "by_string = sorted(range(n), key=str)",
+     "by_string = sorted(range(n))"),
     ("d-power rows without their sign", "laurent.py",
      "sign = -1 if j & 1 else 1  # d**j = (-1)**j * sum of C(j, i) A**(2j - 4i)",
      "sign = 1"),
@@ -141,6 +158,21 @@ MUTANTS = (
     ("slide leaves its pairs in place", "moves.py",
      "passages[pos], passages[nxt] = (q, p) if move.kind == R3_SLIDE else (None, None)",
      "passages[pos], passages[nxt] = (p, q) if move.kind == R3_SLIDE else (None, None)"),
+    ("R3 middle pair's orientation not checked", "moves.py",
+     "if (r if x_first else s).role != UNDER:",
+     "if False:"),
+    ("R3 first sign relation negated", "moves.py",
+     "if (x.sign * y.sign == (1 if x_first == (u.label == y.label) else -1)",
+     "if (x.sign * y.sign != (1 if x_first == (u.label == y.label) else -1)"),
+    ("R3 second sign relation negated", "moves.py",
+     "and y.sign * z.sign == (1 if x_first == (p.label == x.label) else -1)):",
+     "and y.sign * z.sign != (1 if x_first == (p.label == x.label) else -1)):"),
+    ("R3 bottom pair's order read on z", "moves.py",
+     "if (x.sign * y.sign == (1 if x_first == (u.label == y.label) else -1)",
+     "if (x.sign * y.sign == (1 if x_first == (u.label == z.label) else -1)"),
+    ("insert flags not checked", "moves.py",
+     "if flags not in _INSERT_FLAGS.get(move.kind, [()]) or not all(",
+     "if not all("),
     ("R1 insert sign flipped in move_at", "moves.py",
      "return MoveSpec(R1_INSERT, (*sites[site], r < 2, -1 if r & 1 else 1))",
      "return MoveSpec(R1_INSERT, (*sites[site], r < 2, 1 if r & 1 else -1))"),
@@ -170,7 +202,7 @@ def killed(mutant, timeout=None) -> bool:
             shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", tree)
         if mutant is not None:
-            mutate(tree, *mutant[1:])
+            mutate(tree, *mutant[1:4])
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(tree / "src"))
         argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS]
         try:
@@ -186,13 +218,17 @@ def main() -> int:
         print("the unmutated tree fails its tests; no score")
         return 1
     timeout = 5 * (time.monotonic() - start)
-    survivors = []
+    survivors, equivalent = [], 0
     for mutant in MUTANTS:
         dead = killed(mutant, timeout)
-        print(f"{'killed  ' if dead else 'SURVIVED'} {mutant[0]}", flush=True)
-        if not dead:
+        status = "killed  " if dead else "survived (equivalent)" if len(mutant) > 4 else "SURVIVED"
+        print(f"{status} {mutant[0]}", flush=True)
+        if not dead and len(mutant) > 4:
+            equivalent += 1
+        elif not dead:
             survivors.append(mutant[0])
-    print(f"{len(MUTANTS) - len(survivors)}/{len(MUTANTS)} killed")
+    print(f"{len(MUTANTS) - len(survivors) - equivalent}/{len(MUTANTS)} killed, "
+          f"{equivalent} equivalent")
     return 1 if survivors else 0
 
 

@@ -31,8 +31,9 @@ R3 triangle: an over-over top {x,y}, an under-under bottom {y,z} and a mixed
 middle {x,z}; a middle that passes under x and over z leaves six distinct
 passages, so only the two relations above remain to test.
 
-``apply_move`` accepts a deletion or an R3 slide exactly when
-``applicable_moves`` lists it, by listing the adjacent pairs at its sites.
+``apply_move`` accepts a move exactly when ``applicable_moves`` lists it:
+a deletion or an R3 slide by listing the adjacent pairs at its sites, an
+insertion by checking its sites and flags.
 """
 
 from __future__ import annotations
@@ -88,6 +89,12 @@ def _adjacent_pairs(comp: ComponentCode):
         yield pos, comp.passages[pos], comp.passages[(pos + 1) % k]
 
 
+def _insert_slots(comp: ComponentCode) -> int:
+    """Insertion sites: one before each passage (one on an empty loop), one after an open end."""
+    k = len(comp.passages)
+    return k + 1 if comp.kind == OPEN else max(k, 1)
+
+
 def _component(code: KnotoidCode, ci: int) -> ComponentCode:
     if not 0 <= ci < len(code.components):
         raise InapplicableMove(f"no component {ci}")
@@ -120,8 +127,7 @@ def _move_table(code: KnotoidCode, max_crossings: int | None) -> _MoveTable:
     budget = math.inf if max_crossings is None else max_crossings - code.crossing_count()
     sites = []
     for ci, comp in enumerate(code.components):
-        slots = len(comp.passages) + 1 if comp.kind == OPEN else max(len(comp.passages), 1)
-        sites.extend((ci, pos) for pos in range(slots))
+        sites.extend((ci, pos) for pos in range(_insert_slots(comp)))
     pairs = _labelled_pairs(code)
     rest = [m for m in _deletion_moves(pairs) if m.crossing_delta() <= budget]
     if budget >= 0:
@@ -227,10 +233,11 @@ def apply_move(code: KnotoidCode, move: MoveSpec) -> KnotoidCode:
 
     A deletion or an R3 slide is accepted exactly when ``applicable_moves``
     lists it: it must be the move that ``_deletion_moves`` or ``_r3_moves``
-    lists on the adjacent pairs at its own sites.  An insertion needs its
-    sites in range, the two sites of an R2 insertion in one component in
-    order, two distinct sites for a parallel one, and flags that
-    ``applicable_moves`` lists.  Sites are (component, position) pairs of ints.
+    lists on the adjacent pairs at its own sites.  An insertion needs sites
+    that ``applicable_moves`` lists (a loop of k passages has sites 0 to
+    k - 1), the two sites of an R2 insertion in site order, two distinct
+    sites for a parallel one, and flags that ``applicable_moves`` lists.
+    Sites are (component, position) pairs of ints.
     """
     split = 2 if move.kind in _INSERT_FLAGS else len(move.params)
     head, flags = move.params[:split], move.params[split:]
@@ -249,7 +256,7 @@ def apply_move(code: KnotoidCode, move: MoveSpec) -> KnotoidCode:
         (c1, i1), (c2, i2), over_site, parallel, sign = move.params
         if parallel and (c1, i1) == (c2, i2):
             raise InapplicableMove("parallel R2 needs two distinct sites")
-        if c1 == c2 and i1 > i2:
+        if (c1, i1) > (c2, i2):
             raise InapplicableMove("R2 sites out of order")
         x, y = _fresh_labels(code, 2)
         over_pair = (Passage(OVER, x, sign), Passage(OVER, y, -sign))
@@ -271,9 +278,9 @@ def apply_move(code: KnotoidCode, move: MoveSpec) -> KnotoidCode:
     else:
         raise InapplicableMove(f"unknown move kind {move.kind!r}")
     for (ci, pos), pair in inserts:
-        passages = edits.setdefault(ci, list(_component(code, ci).passages))
-        if not 0 <= pos <= len(passages):
+        if not 0 <= pos < _insert_slots(_component(code, ci)):
             raise InapplicableMove(f"no insertion site {(ci, pos)}")
+        passages = edits.setdefault(ci, list(code.components[ci].passages))
         passages[pos:pos] = pair
     comps = list(code.components)
     for ci, passages in edits.items():
@@ -287,8 +294,10 @@ def inverse_of(code: KnotoidCode, move: MoveSpec) -> MoveSpec:
     """The move that undoes ``move`` on ``apply_move(code, move)``.
 
     Raises ``InapplicableMove`` when ``move`` does not apply, or when the
-    inverse read off its sites is refused or gives another code (an R1
-    deletion at a loop's last pair, or an R2 deletion of adjacent pairs).
+    inverse read off its sites is refused or gives another code: an R1
+    deletion at a loop's last pair, a deletion of a loop's last two
+    passages (a loop has no site after its last), or an R2 deletion of
+    adjacent pairs.
     """
     moved = apply_move(code, move)
     if move.kind == R1_INSERT:
@@ -308,8 +317,9 @@ def inverse_of(code: KnotoidCode, move: MoveSpec) -> MoveSpec:
         k1 = len(code.components[c1].passages)
         o1 = code.components[c1].passages[i1]
         parallel = code.components[c2].passages[i2].label == o1.label
-        if c1 != c2:
-            inverse = MoveSpec(R2_INSERT, ((c1, i1), (c2, i2), 1, parallel, o1.sign))
+        if c1 != c2:  # the insertion's sites in site order, the over pair's first or second
+            first, second = sorted(((c1, i1), (c2, i2)))
+            inverse = MoveSpec(R2_INSERT, (first, second, 1 + (c1 > c2), parallel, o1.sign))
         else:
             drop = sorted(x % k1 for x in (i1, i1 + 1, i2, i2 + 1))
             new_i1 = i1 - sum(1 for x in drop if x < i1)

@@ -22,11 +22,11 @@ position, as a graph state numbers them (see ``GraphState``), so bigon
 search, splicing and traces move between ports by arithmetic alone.  The
 frontier splices each reducible bigon as soon as a join makes its edge
 (``smoothing._splice_bigons``, the same rotation test as ``_find_bigon``),
-so each distinct final pairing is one reduced graph state.  It is read
-straight off the first positions of the final mate array by
-``_graph_state``, given its canonical form once, and weighted by the
-counts of all the states that share it; the closed form first closes its
-strands on the mate array, splicing alike (``smoothing._close_strands``).
+so each distinct final pairing is one reduced graph state.  Its first
+``2 * ports`` slots, read as port successors, are traced by
+``canonical_graph`` on their own port numbers, once per pairing, and
+weighted by the counts of all the states that share it; the closed form
+first closes its strands on the mate array (``smoothing._close_strands``).
 ``parity_states`` remains as an independent reference for the tests: it
 glues each of the 2^e smoothings with ``CompiledCode.glue_for_mask`` and
 follows its strands from node port to node port in ``_build_state``; each
@@ -248,17 +248,26 @@ def _splice(state: GraphState, u: int, v: int) -> None:
     state.nodes -= {u, v}
 
 
-def canonical_graph(state: GraphState) -> list[str]:
+def canonical_graph(succ: list[int]) -> list[str]:
     """Canonical encodings of the node-bearing components of a reduced state.
 
-    Nodes are numbered by first visit along a strand-following traversal;
-    each visit records the entry slot relative to the node's first-seen
-    slot, so the encoding is invariant under relabeling and rotation of
-    loop starts.  A trace is a comma-joined token list: ``T`` or ``S``
-    opens a strand at a stub or a port, ``id.offset`` is a visit, and
-    ``E`` or ``C`` ends the strand at a stub or back at its start.  The
-    lexicographic minimum over admissible starting terminals (stubs when
-    present, otherwise every directed port) makes it deterministic.
+    ``succ`` maps each port ``4 * node + slot`` to the port entered after
+    leaving by it: its mate, ``-1`` at a stub, or the port itself at a node
+    spliced away.  Nodes are numbered by first visit along a
+    strand-following traversal; each visit records the entry slot relative
+    to the node's first-seen slot, so the encoding is invariant under
+    relabeling and rotation of loop starts.  A trace is a comma-joined
+    token list: ``T`` or ``S`` opens a strand at a stub or a port,
+    ``id.offset`` is a visit, and ``E`` or ``C`` ends the strand at a stub
+    or back at its start.  The lexicographic minimum over admissible
+    starting terminals (stubs when present, otherwise every directed port)
+    makes it deterministic.
+
+    Components are found by tracing.  Each stub not yet covered starts a
+    full trace, which covers every port of its component, among them the
+    component's other stubs, the other starts; each live node still
+    uncovered then roots a stub-free component, whose first kept start's
+    full trace covers it.
 
     Traces run on small ints that order as their strings do: a visit is
     ``4 * rank + offset``, where ``rank`` orders the ids by their decimal
@@ -288,35 +297,26 @@ def canonical_graph(state: GraphState) -> list[str]:
     Ranks keep the string order (``"10" < "2"``), so signatures compare as
     token lists, never by length.
     """
-    partner = state.partner
-    ranks, strings = _token_table(len(state.nodes))
+    ports = len(succ)
+    ranks, strings = _token_table(ports >> 2)
     top = ranks[-1]
+    covered = bytearray(ports)  # the ports of the components traced so far
     encodings = []
-    # In a component, local port 4 * i + slot is port ``slot`` of its i-th
-    # node in search order; ``succ`` maps a local port to the one entered
-    # after leaving by it, or to -1 at a stub.
-    local: dict[int, int] = {}
-    for root in state.nodes:
-        if root in local:
+    stubs = [p for p, q in enumerate(succ) if q < 0]
+    while stubs:
+        best = list(_trace(succ, ranks, top, ~stubs[0], covered))
+        for p in stubs[1:]:
+            if covered[p]:
+                best = _least(_trace(succ, ranks, top, ~p, bytearray(ports)), best)
+        encodings.append(",".join(map(strings.__getitem__, best)))
+        stubs = [p for p in stubs if not covered[p]]
+    for root in range(0, ports, 4):
+        if covered[root] or succ[root] == root:
             continue
-        local[root] = 0
-        members = [root]
-        succ: list[int] = []
-        for node in members:
-            for port in range(4 * node, 4 * node + 4):
-                q = partner[port]
-                if q < 0:
-                    succ.append(-1)
-                    continue
-                far, slot = q >> 2, q & 3
-                if far not in local:
-                    local[far] = 4 * len(members)
-                    members.append(far)
-                succ.append(local[far] + slot)
-        starts = [~p for p, q in enumerate(succ) if q < 0] or _least_signatures(succ, ranks, top)
-        best = list(_trace(succ, ranks, top, starts[0]))
+        starts = _least_signatures(succ, ranks, top, root)
+        best = list(_trace(succ, ranks, top, starts[0], covered))
         for start in starts[1:]:
-            best = _least(_trace(succ, ranks, top, start), best)
+            best = _least(_trace(succ, ranks, top, start, bytearray(ports)), best)
         encodings.append(",".join(map(strings.__getitem__, best)))
     return sorted(encodings)
 
@@ -331,8 +331,9 @@ def _token_table(n: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
     return ranks, (*[f"{i}.{o}" for i in by_string for o in range(4)], *"CEST")
 
 
-def _least_signatures(succ, ranks, top) -> list[int]:
-    """The ports of a stub-free component whose traces start least.
+def _least_signatures(succ, ranks, top, root) -> list[int]:
+    """The ports of the stub-free component of port ``root`` whose traces
+    start least.
 
     A start's signature is ``S``, ``ranks[0]`` to ``ranks[m - 1]`` and
     ``tok``, the first revisit or ``C``.  It leaves the run of new nodes
@@ -343,14 +344,22 @@ def _least_signatures(succ, ranks, top) -> list[int]:
     only until its signature is known, or until it reaches a new node at
     the token where the best so far left below.  ``ranks`` ends with
     ``top``, since ``m`` may be every node and a close is not below that.
+    The starts are the ports of ``root``'s node and of each node a start's
+    first step enters, which every start takes (no key leaves below at 0).
     """
     nodes = len(succ) >> 2
     walk = [-1] * nodes  # the start whose walk entered the node last
     index = [0] * nodes  # the node's place in that walk
     entered = [0] * nodes  # the port that walk first entered it by
+    found = bytearray(nodes)  # nodes whose ports are among the starts
+    found[root >> 2] = 1
+    starts = list(range(root, root + 4))
     best, kept = (2,), []  # (2,) is above every key
-    for x in range(len(succ)):
+    for x in starts:
         m, q, tok = 0, succ[x], None
+        if not found[q >> 2]:
+            found[q >> 2] = 1
+            starts += range(q & ~3, (q & ~3) + 4)
         while tok is None:
             node = q >> 2
             if walk[node] == x:
@@ -373,16 +382,17 @@ def _least_signatures(succ, ranks, top) -> list[int]:
     return kept
 
 
-def _trace(succ, ranks, top, start):
+def _trace(succ, ranks, top, start, used):
     """Yield the int tokens of one component's trace from ``start``.
 
-    ``start`` is a local port to leave by, or ``~p`` to enter ``p`` from
-    its stub.  Later strands leave by the first unused port of the visited
+    ``start`` is a port to leave by, or ``~p`` to enter ``p`` from its
+    stub.  Later strands leave by the first unused port of the visited
     nodes, taken in visit order and counterclockwise from the entry slot.
+    Each port the trace takes is marked in ``used``, which holds no port
+    of the component yet; a full trace marks them all.
     """
     rank = [-1] * (len(succ) >> 2)  # 4 * rank of a visited node's id
     ref = [0] * len(rank)  # the port it was first entered by
-    used = bytearray(len(succ))
     pending: list[int] = []
     candidates = iter(pending)  # resumes where it stopped; sees appends
     ids = 0
@@ -424,9 +434,7 @@ def _least(tokens, best: list[int]) -> list[int]:
         if tok != b:
             return [*best[:i], tok, *tokens] if tok < b else best
         i += 1
-    # One ran out, and a prefix is the lesser: a trace that ties all of
-    # ``best`` and goes on is greater.
-    return best[:i]
+    return best  # a full tie: traces of one component are equally long
 
 
 def parity_states(
@@ -448,26 +456,6 @@ def parity_states(
         yield _build_state(compiled, node_set, even_list, mask)
 
 
-def _graph_state(mates, row: list[int], ports: int) -> GraphState:
-    """The graph state of one final pairing of the even-set frontier.
-
-    The first ``ports`` positions of the final boundary ``row`` are the
-    node ports, port ``p`` at position ``p``, and the rest are stubs.  The
-    ports of a node the frontier spliced pair with themselves and are left
-    out, as are the stubs of finished segments and of closed strands, so
-    ``partner`` holds the live ports and the stubs they reach.
-    """
-    partner: dict[int, int] = {}
-    for p, q in enumerate(mates[: 2 * ports : 2]):
-        q >>= 1
-        if q >= ports:
-            partner[p] = row[q]
-            partner[row[q]] = p
-        elif q != p:
-            partner[p] = q
-    return GraphState({p >> 2 for p in range(0, ports, 4) if p in partner}, partner, 0, 0)
-
-
 def parity_bracket(
     code: KnotoidCode, state_limit: int = DEFAULT_STATE_LIMIT, closed: bool = False
 ) -> ParityBracketValue:
@@ -487,14 +475,15 @@ def parity_bracket(
         )
     # The frontier counts every leg and free circle as a component up front;
     # a leg whose stubs reach a live node belongs to that node's graph instead.
-    row = compiled.boundary(even)
     ports = 4 * (compiled.n - len(even))
+    spliced = list(range(ports))  # every node spliced away
     by_key: dict[str, dict[tuple[int, int], int]] = {}
     for mates, counts in compiled.frontier(False, even):
         extra = _close_strands(mates, 2 * ports) if closed else 0
-        state = _graph_state(mates, row, ports)
-        encodings = canonical_graph(state) if state.nodes else []
-        extra += len(encodings) - sum(1 for p in state.partner if p < 0) // 2
+        # Port p sits at slot 2 * p; the slots from 2 * ports on are stubs.
+        succ = [q >> 1 if q < 2 * ports else -1 for q in mates[: 2 * ports : 2]]
+        encodings = canonical_graph(succ) if succ != spliced else []
+        extra += len(encodings) - succ.count(-1) // 2
         sums = by_key.setdefault(" | ".join(encodings), {})
         for (sigma, circles, _, _), count in counts.items():
             key = (sigma, circles + extra)

@@ -14,6 +14,11 @@ time over the 2^e states of ``parity_states``, as its definition reads;
 closed form closes each reduced state's stub paths with
 ``_close_stub_paths`` and reduces again with ``reduce_graph``, where
 ``parity_bracket`` closes the strands on the mate array.
+
+``_graph_state`` reads one final pairing of the even-set frontier as a
+graph state, and ``successors`` turns a graph state into the port-successor
+list that ``canonical_graph`` reads, so the reference states are keyed by
+the production ``canonical_graph``.
 """
 
 from array import array
@@ -146,6 +151,34 @@ def _close_stub_paths(state: GraphState) -> None:
         partner[last_port] = first_port
 
 
+def _graph_state(mates, row: list[int], ports: int) -> GraphState:
+    """The graph state of one final pairing of the even-set frontier.
+
+    The first ``ports`` positions of the final boundary ``row`` are the
+    node ports, port ``p`` at position ``p``, and the rest are stubs.  The
+    ports of a node the frontier spliced pair with themselves and are left
+    out, as are the stubs of finished segments and of closed strands, so
+    ``partner`` holds the live ports and the stubs they reach.
+    """
+    partner: dict[int, int] = {}
+    for p, q in enumerate(mates[: 2 * ports : 2]):
+        q >>= 1
+        if q >= ports:
+            partner[p] = row[q]
+            partner[row[q]] = p
+        elif q != p:
+            partner[p] = q
+    return GraphState({p >> 2 for p in range(0, ports, 4) if p in partner}, partner, 0, 0)
+
+
+def successors(state: GraphState) -> list[int]:
+    """The port-successor list of ``state`` for ``canonical_graph``: per port
+    of the nodes up to the last live one, its partner, ``-1`` for a stub,
+    or the port itself once its node is spliced away."""
+    size = 4 * (max(state.nodes) + 1) if state.nodes else 0
+    return [max(state.partner.get(p, p), -1) for p in range(size)]
+
+
 def segments(state) -> int:
     """The stub-to-stub edges of a state: node-free open segments."""
     return sum(1 for a, b in state.partner.items() if a < 0 and b < 0 and a < b)
@@ -161,7 +194,7 @@ def parity_reference(code, closed: bool = False) -> ParityBracketValue:
         if closed:
             _close_stub_paths(state)
             state = reduce_graph(state)
-        encodings = canonical_graph(state)
+        encodings = canonical_graph(successors(state))
         weight = LaurentA.one()
         for _ in range(state.circles + segments(state) + len(encodings) - 1):
             weight = weight * d

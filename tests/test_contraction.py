@@ -18,10 +18,10 @@ from knotoids.codes import (
     parse,
     spiral,
 )
-from knotoids.parity_bracket import _graph_state, canonical_graph, parity_bracket
+from knotoids.parity_bracket import canonical_graph, parity_bracket
 from knotoids.smoothing import CompiledCode
 from helpers import random_code, random_multi_code, relabeled
-from reference import reference_plan, reorder
+from reference import _graph_state, reference_plan, reorder, successors
 
 
 def scan_counts(compiled: CompiledCode, want_words: bool) -> dict:
@@ -180,10 +180,9 @@ def even_pairings(compiled: CompiledCode) -> dict:
     ports = 4 * (compiled.n - len(even))
     rows: dict = {}
     for mates, counts in compiled.frontier(False, even):
-        state = _graph_state(mates, row, ports)
-        encodings = canonical_graph(state)
-        stubs = sum(1 for p in state.partner if p < 0)
-        comps = len(encodings) - stubs // 2
+        succ = successors(_graph_state(mates, row, ports))
+        encodings = canonical_graph(succ)
+        comps = len(encodings) - succ.count(-1) // 2
         for (sigma, circles, _, _), count in counts.items():
             key = (" | ".join(encodings), sigma, circles + comps)
             rows[key] = rows.get(key, 0) + count

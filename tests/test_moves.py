@@ -84,7 +84,9 @@ def test_deletion_inverses_undo_or_raise():
     raises ``InapplicableMove``: an R1 deletion at a loop's last pair, an R2
     deletion of an over pair next to its under pair, and an R2 deletion
     across components where the loop's pair wraps round its end read off
-    an insertion that is refused or gives another code."""
+    an insertion that is refused or gives another code.  So does a deletion
+    of a loop's last two passages: only an insertion after the last passage
+    gives them back, and a loop lists no such site."""
     rng = random.Random(7)
     listed = undone = 0
     for _ in range(400):
@@ -101,7 +103,7 @@ def test_deletion_inverses_undo_or_raise():
                 continue
             assert apply_move(apply_move(code, move), inverse) == code, (code, move)
             undone += 1
-    assert (listed, undone) == (438, 331)
+    assert (listed, undone) == (438, 289)
 
 
 def test_r3_self_inverse_and_invariance():
@@ -293,6 +295,56 @@ def test_apply_accepts_exactly_the_listed_deletions_and_slides():
                     with pytest.raises(InapplicableMove):
                         apply_move(code, MoveSpec(R2_INSERT, (s1, s2, 1, False, 1)))
     assert min(applied.values()) >= 10, applied
+
+
+def test_apply_accepts_exactly_the_listed_insertions():
+    """An R1 or R2 insertion at any sites, from one below to one above each
+    component's range and in either order, applies exactly when
+    ``applicable_moves`` lists it: not at position k of a loop of k
+    passages, nor with its first site after its second.  ``inverse_of``
+    orders the sites of an R2 deletion across components, so the insertion
+    it reads is a listed one."""
+    loop = parse("loop: O1+ U2+ U1+ O2+")
+    with pytest.raises(InapplicableMove):
+        apply_move(loop, MoveSpec(R1_INSERT, (0, 4, True, 1)))
+    two = parse("open: O1+ U1+\nloop: O2+ U2+")
+    with pytest.raises(InapplicableMove):
+        apply_move(two, MoveSpec(R2_INSERT, ((1, 0), (0, 0), 1, False, 1)))
+    insert = MoveSpec(R2_INSERT, ((0, 0), (1, 0), 2, False, 1))  # over pair in the loop
+    moved = apply_move(two, insert)
+    deletion = MoveSpec(R2_DELETE, ((1, 0), (0, 0)))
+    assert deletion in applicable_moves(moved)
+    assert inverse_of(moved, deletion) == insert
+    rng = random.Random(26)
+    codes = [random_code(rng, rng.randint(0, 2), loops=rng.choice((0, 1))) for _ in range(4)]
+    codes += [random_multi_code(rng, rng.randint(0, 2), empty=True) for _ in range(4)]
+    codes += [loop, two]
+    applied = 0
+    for code in codes:
+        listed = {m for m in applicable_moves(code) if m.kind in (R1_INSERT, R2_INSERT)}
+        comps = code.components
+        sites = [
+            (ci, pos)
+            for ci in range(-1, len(comps) + 1)
+            for pos in range(-1, (len(comps[ci].passages) if 0 <= ci < len(comps) else 0) + 2)
+        ]
+        tried = itertools.chain(
+            (MoveSpec(R1_INSERT, (*site, *flags))
+             for site in sites for flags in itertools.product((True, False), (1, -1))),
+            (MoveSpec(R2_INSERT, (*pair, *flags))
+             for pair in itertools.product(sites, repeat=2)
+             for flags in itertools.product((1, 2), (False, True), (1, -1))),
+        )
+        for move in tried:
+            if move in listed:
+                validate(apply_move(code, move))
+                applied += 1
+                listed.discard(move)
+            else:
+                with pytest.raises(InapplicableMove):
+                    apply_move(code, move)
+        assert not listed, serialize(code)
+    assert applied >= 500, applied
 
 
 def test_walk_deterministic_and_valid():

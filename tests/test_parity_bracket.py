@@ -19,6 +19,7 @@ from knotoids.parity_bracket import (
     reduce_graph,
 )
 from helpers import invariant_suite, random_code, relabeled
+from reference import successors
 
 FIG18 = "open: O1+ U2- U1+ O2-"
 
@@ -86,10 +87,10 @@ def test_canonical_encoding_relabeling_invariant():
 def test_canonical_encoding_deterministic():
     code = parse(FIG18)
     (state,) = list(parity_states(code))
-    first = canonical_graph(reduce_graph(state))
+    first = canonical_graph(successors(reduce_graph(state)))
     for _ in range(5):
         (state,) = list(parity_states(code))
-        assert canonical_graph(reduce_graph(state)) == first
+        assert canonical_graph(successors(reduce_graph(state))) == first
 
 
 def test_flat_parity_values():

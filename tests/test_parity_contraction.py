@@ -39,7 +39,6 @@ from knotoids.parity_bracket import (
     GraphState,
     _build_state,
     _find_bigon,
-    _graph_state,
     _least_signatures,
     _splice,
     canonical_graph,
@@ -50,7 +49,7 @@ from knotoids.parity_bracket import (
 )
 from knotoids.smoothing import CompiledCode, _close_strands, compiled_form
 from helpers import all_codes, count_calls, random_code, random_multi_code
-from reference import _close_stub_paths, parity_reference, segments
+from reference import _close_stub_paths, _graph_state, parity_reference, segments, successors
 
 
 def flat_reference(code: KnotoidCode) -> FlatParityValue:
@@ -215,9 +214,9 @@ def frontier_rows(compiled, smooth) -> dict:
     ports = 4 * (compiled.n - len(smooth))
     rows: dict = {}
     for mates, counts in compiled.frontier(False, smooth):
-        state = _graph_state(mates, row, ports)
-        encodings = canonical_graph(state)
-        comps = len(encodings) - sum(1 for p in state.partner if p < 0) // 2
+        succ = successors(_graph_state(mates, row, ports))
+        encodings = canonical_graph(succ)
+        comps = len(encodings) - succ.count(-1) // 2
         for (sigma, circles, _, _), count in counts.items():
             key = (" | ".join(encodings), sigma, circles + comps)
             rows[key] = rows.get(key, 0) + count
@@ -231,7 +230,7 @@ def per_state_rows(compiled, smooth) -> dict:
     rows: dict = {}
     for mask in range(1 << len(smooth)):
         state = reduce_graph(_build_state(compiled, nodes, smooth, mask))
-        encodings = canonical_graph(state)
+        encodings = canonical_graph(successors(state))
         key = (" | ".join(encodings), state.sigma, state.circles + segments(state) + len(encodings))
         rows[key] = rows.get(key, 0) + 1
     return rows
@@ -370,34 +369,47 @@ def trace_component(state, start) -> str:
         run_strand(nxt)
 
 
+def component_ports(partner, node) -> list[int]:
+    """The ports of the nodes that ``node`` reaches through ``partner``."""
+    reach, todo = {node}, [node]
+    while todo:
+        k = todo.pop()
+        for port in range(4 * k, 4 * k + 4):
+            q = partner[port]
+            if q >= 0 and q >> 2 not in reach:
+                reach.add(q >> 2)
+                todo.append(q >> 2)
+    return [port for k in sorted(reach) for port in range(4 * k, 4 * k + 4)]
+
+
+def component_traces(state) -> list[list[str]]:
+    """Per node component, its full string traces from every admissible start."""
+    groups: list[list[int]] = []
+    for node in sorted(state.nodes):
+        ports = component_ports(state.partner, node)
+        if ports not in groups:
+            groups.append(ports)
+    traces = []
+    for ports in groups:
+        starts = [state.partner[p] for p in ports if state.partner[p] < 0] or ports
+        traces.append([trace_component(state, s) for s in starts])
+    return traces
+
+
 def plain_canonical(state) -> list[str]:
     """Per node component, the minimum of its full string traces, sorted."""
-    groups: list[set[int]] = []
-    for node in state.nodes:
-        reach, todo = {node}, [node]
-        while todo:
-            k = todo.pop()
-            for port in range(4 * k, 4 * k + 4):
-                q = state.partner[port]
-                if q >= 0 and q >> 2 not in reach:
-                    reach.add(q >> 2)
-                    todo.append(q >> 2)
-        if reach not in groups:
-            groups.append(reach)
-    encodings = []
-    for members in groups:
-        ports = [port for k in members for port in range(4 * k, 4 * k + 4)]
-        starts = [state.partner[p] for p in ports if state.partner[p] < 0] or ports
-        encodings.append(min(trace_component(state, s) for s in starts))
-    return sorted(encodings)
+    return sorted(min(traces) for traces in component_traces(state))
 
 
 def test_canonical_graph_is_the_minimum_full_trace():
+    """Also checks the premise that lets ``_least`` take a trace that ties
+    the best so far to its end for a full tie: all full traces of one
+    component have the same number of tokens."""
     rng = random.Random(76)
     codes = [random_code(rng, rng.randint(2, 7), loops=rng.choice((0, 1))) for _ in range(40)]
     codes += [random_multi_code(rng, rng.randint(2, 7), empty=True) for _ in range(30)]
     codes += [entry.code for entry in load_catalog()]
-    nodes = 0
+    nodes = several = 0
     for code in codes:
         for closed in (False, True):
             for state in parity_states(code):
@@ -406,8 +418,11 @@ def test_canonical_graph_is_the_minimum_full_trace():
                     _close_stub_paths(state)
                     state = reduce_graph(state)
                 nodes = max(nodes, len(state.nodes))
-                assert canonical_graph(state) == plain_canonical(state), code
-    assert nodes >= 4
+                assert canonical_graph(successors(state)) == plain_canonical(state), code
+                for traces in component_traces(state):
+                    assert len({trace.count(",") for trace in traces}) == 1, code
+                    several += len(set(traces)) >= 2
+    assert nodes >= 4 and several >= 150, several
 
 
 def test_even_crossing_limit_is_checked_before_any_work(monkeypatch):
@@ -440,10 +455,46 @@ def test_canonical_graph_orders_two_digit_ids_as_strings():
                     _close_stub_paths(state)
                     state = reduce_graph(state)
                 if len(state.nodes) >= 11:
-                    keys = canonical_graph(state)
+                    keys = canonical_graph(successors(state))
                     assert keys == plain_canonical(state), code
                     two_digit += any(t.startswith("10.") for k in keys for t in k.split(","))
     assert two_digit >= 1000
+
+
+def test_canonical_graph_on_final_pairings():
+    """``canonical_graph`` reads each final pairing of the even-set frontier
+    on the mate array's own port numbers, spliced nodes' ports pairing with
+    themselves, and must give the minimum full string traces, open and
+    closed: on 16-20 crossing codes whose pairings keep 11 or more live
+    nodes (two-digit ids), and on multi-leg codes with empty components,
+    whose pairings hold a component with stubs beside a stub-free one."""
+    rng = random.Random(82)
+    codes = []
+    for _ in range(12):
+        n = rng.randint(16, 20)
+        even = rng.choice([e for e in (6, 7, 8) if (n - e) % 2 == 0])
+        code = random_code(rng, n)
+        while sum(info.parity == "even" for info in classify_crossings(code)) != even:
+            code = random_code(rng, n)
+        codes.append(code)
+    codes += [random_multi_code(rng, rng.randint(4, 12), empty=True) for _ in range(400)]
+    wide = mixed = spliced = 0
+    for code in codes:
+        compiled = compiled_form(code)
+        row = compiled.boundary(compiled.even)
+        ports = 4 * (compiled.n - len(compiled.even))
+        for closed in (False, True):
+            for mates, _ in compiled.frontier(False, compiled.even):
+                if closed:
+                    _close_strands(mates, 2 * ports)
+                succ = [q >> 1 if q < 2 * ports else -1 for q in mates[: 2 * ports : 2]]
+                state = _graph_state(mates, row, ports)
+                keys = canonical_graph(succ)
+                assert keys == plain_canonical(state), code
+                wide += len(state.nodes) >= 11 and any("10." in key for key in keys)
+                mixed += {key[0] for key in keys} == {"S", "T"}
+                spliced += 0 < len(state.nodes) < ports // 4
+    assert wide >= 500 and mixed >= 50 and spliced >= 1000, (wide, mixed, spliced)
 
 
 def first_strand_signature(trace: str) -> list[str]:
@@ -466,9 +517,9 @@ def test_signature_pruning_keeps_the_least_trace(monkeypatch):
     classes, where ids ``10`` and up order before ``2`` as strings."""
     calls = []
 
-    def spy(succ, ranks, top):
-        kept = _least_signatures(succ, ranks, top)
-        calls.append((succ, kept))
+    def spy(succ, ranks, top, root):
+        kept = _least_signatures(succ, ranks, top, root)
+        calls.append((succ, component_ports(dict(enumerate(succ)), root >> 2), kept))
         return kept
 
     monkeypatch.setattr(sys.modules[canonical_graph.__module__], "_least_signatures", spy)
@@ -486,19 +537,19 @@ def test_signature_pruning_keeps_the_least_trace(monkeypatch):
             code = random_code(rng, n)
         parity_bracket(code, closed=True)
         parity_bracket(virtual_closure(code))
-    large = [(succ, kept) for succ, kept in calls[small:] if len(succ) >= 44]
+    large = [call for call in calls[small:] if len(call[1]) >= 44]
 
     pruned = ties = 0
-    for succ, kept in calls[:small] + large:
-        component = GraphState(set(range(len(succ) >> 2)), dict(enumerate(succ)), 0, 0)
-        traces = [trace_component(component, start) for start in range(len(succ))]
-        least = min(traces)
-        dropped = set(range(len(succ))) - set(kept)
+    for succ, ports, kept in calls[:small] + large:
+        component = GraphState({p >> 2 for p in ports}, dict(enumerate(succ)), 0, 0)
+        traces = {start: trace_component(component, start) for start in ports}
+        least = min(traces.values())
+        dropped = set(ports) - set(kept)
         assert all(traces[start] > least for start in dropped), succ
         assert least in [traces[start] for start in kept], succ
-        signatures = [first_strand_signature(trace) for trace in traces]
+        signatures = {start: first_strand_signature(trace) for start, trace in traces.items()}
         assert sorted(kept) == [
-            start for start, sig in enumerate(signatures) if sig == min(signatures)
+            start for start in ports if signatures[start] == min(signatures.values())
         ], succ
         pruned += bool(dropped)
         ties += len(kept) >= 2
@@ -584,7 +635,7 @@ def test_bigon_search_matches_pairwise_reference():
                     _close_stub_paths(other)
                     splices += reduce_by_last_bigon(other)
                 several += splices >= 2
-                assert canonical_graph(other) == canonical_graph(state), code
+                assert canonical_graph(successors(other)) == canonical_graph(successors(state)), code
                 assert other.circles == state.circles, code
                 assert segments(other) == segments(state), code
     assert several >= 300  # states that splice two or more bigons

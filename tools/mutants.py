@@ -120,11 +120,24 @@ MUTANTS = (
     ("trace's revisit offset read clockwise", "parity_bracket.py",
      "yield rank[node] + ((q - ref[node]) & 3)",
      "yield rank[node] + ((ref[node] - q) & 3)"),
-    ("least trace keeps the longer one on a prefix tie", "parity_bracket.py",
-     "return best[:i]",
-     "return best",
-     "every trace of a component has two tokens per node and two per strand, "
-     "so the two traces run out together and a prefix tie is a full tie"),
+    ("stub-free component's ports left uncovered", "parity_bracket.py",
+     "best = list(_trace(succ, ranks, top, starts[0], covered))",
+     "best = list(_trace(succ, ranks, top, starts[0], bytearray(ports)))"),
+    ("covered nodes rooted again", "parity_bracket.py",
+     "if covered[root] or succ[root] == root:",
+     "if succ[root] == root:"),
+    ("stubs of other components taken as starts", "parity_bracket.py",
+     "if covered[p]:",
+     "if True:"),
+    ("a component's other stubs start components of their own", "parity_bracket.py",
+     "stubs = [p for p in stubs if not covered[p]]",
+     "stubs = stubs[1:]"),
+    ("signature starts only at the root's node", "parity_bracket.py",
+     "starts += range(q & ~3, (q & ~3) + 4)",
+     "pass"),
+    ("each stub counted as a leg", "parity_bracket.py",
+     "extra += len(encodings) - succ.count(-1) // 2",
+     "extra += len(encodings) - succ.count(-1)"),
     ("signature key of a start that leaves above not reversed", "parity_bracket.py",
      "key = (0, m, tok) if tok < ranks[m] else (1, -m, tok)",
      "key = (0, m, tok) if tok < ranks[m] else (1, m, tok)"),
@@ -170,6 +183,15 @@ MUTANTS = (
     ("R3 bottom pair's order read on z", "moves.py",
      "if (x.sign * y.sign == (1 if x_first == (u.label == y.label) else -1)",
      "if (x.sign * y.sign == (1 if x_first == (u.label == z.label) else -1)"),
+    ("loop insertion admitted after its last passage", "moves.py",
+     "if not 0 <= pos < _insert_slots(_component(code, ci)):",
+     "if not 0 <= pos <= len(_component(code, ci).passages):"),
+    ("R2 insertion sites admitted in reverse component order", "moves.py",
+     "if (c1, i1) > (c2, i2):",
+     "if c1 == c2 and i1 > i2:"),
+    ("inverse R2 insertion's sites left unordered", "moves.py",
+     "first, second = sorted(((c1, i1), (c2, i2)))",
+     "first, second = (c1, i1), (c2, i2)"),
     ("insert flags not checked", "moves.py",
      "if flags not in _INSERT_FLAGS.get(move.kind, [()]) or not all(",
      "if not all("),
